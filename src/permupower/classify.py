@@ -203,9 +203,12 @@ def _load_checkpoint(path: Path, d: int, lo: int, hi: int) -> dict[int, int] | N
         payload = json.loads(path.read_text())
         if payload.get("d") != d or payload.get("lo") != lo or payload.get("hi") != hi:
             return None
-        return {int(key): int(cnt) for key, cnt in payload["q_counts"].items()}
-    except (ValueError, KeyError, AttributeError):
+        counts = {int(key): int(cnt) for key, cnt in payload["q_counts"].items()}
+    except (ValueError, KeyError, AttributeError, TypeError):
         return None  # damaged checkpoint: recompute the stratum
+    if sum(counts.values()) != hi - lo:
+        return None  # counts do not cover the rank range: recompute
+    return counts
 
 
 def _write_checkpoint(
@@ -231,8 +234,9 @@ def classify_exhaustive(
     """Exact census over all d^2! permutations.
 
     Budgeted to d in {2, 3} unless `force` is set.  With `checkpoint_dir`,
-    each completed stratum persists its partial histogram (keyed by rank
-    range), and a rerun resumes from whatever is already on disk.
+    each stratum persists its partial histogram (keyed by rank range) as
+    soon as it completes, and a rerun, also after an interrupted one,
+    computes only the strata not already on disk.
     """
     if d not in (2, 3) and not force:
         raise BudgetExceeded(
@@ -256,19 +260,20 @@ def classify_exhaustive(
                 continue
         pending.append(s)
 
+    def finish(s: int, counts: dict[int, int]) -> None:
+        done[s] = counts
+        if directory is not None:
+            lo, hi = s * stratum_size, (s + 1) * stratum_size
+            _write_checkpoint(_checkpoint_path(directory, d, lo, hi), d, lo, hi, counts)
+
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for s, counts in zip(pending, pool.map(_stratum_q_counts,
                                                    [d] * len(pending), pending)):
-                done[s] = counts
+                finish(s, counts)
     else:
         for s in pending:
-            done[s] = _stratum_q_counts(d, s)
-
-    if directory is not None:
-        for s in pending:
-            lo, hi = s * stratum_size, (s + 1) * stratum_size
-            _write_checkpoint(_checkpoint_path(directory, d, lo, hi), d, lo, hi, done[s])
+            finish(s, _stratum_q_counts(d, s))
 
     merged: dict[int, int] = {}
     for s in range(n):
@@ -288,20 +293,13 @@ def _sample_chunk_q(
     dtype = np.int32 if n > 32767 else np.int16
     base = np.tile(np.arange(n, dtype=dtype), (count, 1))
     flat = rng.permuted(base, axis=1)
-    # einsum memory grows as B * d^5; split the batch when d is large
-    step = max(1, int(5e7 // max(1, d**5)))
-    counts: dict[int, int] = {}
-    sum_q = 0
-    sum_q2 = 0
-    for lo in range(0, count, step):
-        q = q_totals_batch(flat[lo : lo + step], d)
-        sum_q += int(q.sum())
-        if 4 * d**8 > 2**62:  # q^2 would overflow int64
-            sum_q2 += sum(int(v) * int(v) for v in q)
-        else:
-            sum_q2 += int((q * q).sum())
-        for val, cnt in zip(*np.unique(q, return_counts=True)):
-            counts[int(val)] = counts.get(int(val), 0) + int(cnt)
+    q = q_totals_batch(flat, d)
+    sum_q = int(q.sum())
+    if 4 * d**8 > 2**62:  # q^2 would overflow int64
+        sum_q2 = sum(int(v) * int(v) for v in q)
+    else:
+        sum_q2 = int((q * q).sum())
+    counts = {int(val): int(cnt) for val, cnt in zip(*np.unique(q, return_counts=True))}
     return counts, sum_q, sum_q2
 
 

@@ -2,9 +2,20 @@
 
 Subcommands: power, classify, mols, verify, sample.  JSON is the canonical
 output format; identical invocations (including seed) produce byte-identical
-JSON regardless of worker count.  Exit codes: 0 success, 2 unparsable
-input, 3 unsupported Latin square order, 4 enumeration budget exceeded,
-5 verification failure.
+JSON regardless of worker count.
+
+Exit codes:
+  0  success
+  1  any other invalid request, e.g. `classify --samples` below 2, d above
+     the cap of 215, or d = 1 where the entangling power is undefined
+  2  unparsable input: a malformed or unreadable file, an unknown builtin,
+     or a bad argument (negative `--seed`; `--d`, `--workers`, `--count`
+     or `verify --samples` below 1; a `--format` the command does not
+     write)
+  3  unsupported Latin square order
+  4  enumeration budget exceeded
+  5  verification failure
+Every error exit prints one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -78,18 +89,42 @@ def _default_workers() -> int:
     return 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=int, default=None, help="local dimension")
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports a bad argument as one line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _add_common(
+    parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "csv", "text")
+) -> None:
+    parser.add_argument("--d", type=_int_at_least(1), default=None, help="local dimension")
     parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"base seed for random draws (default {DEFAULT_SEED})",
+        "--seed", type=_int_at_least(0), default=DEFAULT_SEED,
+        help=f"base seed for random draws, >= 0 (default {DEFAULT_SEED})",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_int_at_least(1), default=None,
         help="parallel workers (default: PERMUPOWER_THREADS or 1)",
     )
     parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
+        "--format", choices=formats, default="json",
         help="output format (json is canonical)",
     )
     parser.add_argument("--out", type=Path, default=None, help="output file")
@@ -100,7 +135,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permupower",
         description="Exact entangling power of bipartite permutation operators.",
     )
@@ -123,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir", type=Path, default=None,
         help="persist per-range partial histograms and resume from them",
     )
-    _add_common(p_cls)
+    _add_common(p_cls, formats=("json", "csv"))
 
     p_mols = sub.add_parser("mols", help="construct an orthogonal Latin pair")
     p_mols.add_argument(
@@ -138,13 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("formula-vs-oracle", "mc-vs-formula", "theorem4", "theorem7", "tables"),
     )
     p_ver.add_argument(
-        "--samples", type=int, default=None,
+        "--samples", type=_int_at_least(1), default=None,
         help="sample count for the statistical targets",
     )
     _add_common(p_ver)
 
     p_sample = sub.add_parser("sample", help="draw uniform random permutations")
-    p_sample.add_argument("--count", type=int, default=1, help="how many to draw")
+    p_sample.add_argument(
+        "--count", type=_int_at_least(1), default=1, help="how many to draw"
+    )
     _add_common(p_sample)
 
     return parser

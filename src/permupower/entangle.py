@@ -27,9 +27,16 @@ import numpy as np
 from .errors import DegenerateDimension, DimensionTooLarge, IndexOutOfRange
 from .perm_core import BiPerm, compose_with_swap
 
-# Largest d with d^4 < 2^31: the vectorized path accumulates rectangle
-# counts in int32.
+# Supported range of d, the largest d with d^4 < 2^31.  No count overflows
+# above it (q_of sums Python integers, the batch kernel sums in int64), but
+# the CLI, the file formats and the tests are specified up to this cap.
 MAX_DIMENSION = 215
+
+# Most rectangle-count keys the batch kernel holds at once.  Every per-tile
+# array (cell gathers, match flags, keys, run ranks) has at most this many
+# elements, so the kernel's working memory grows with neither the batch
+# size nor d.
+KEY_BUDGET = 1 << 16
 
 
 def _check_dimension(d: int) -> None:
@@ -79,31 +86,90 @@ def q_of_naive(perm: BiPerm) -> int:
     return q
 
 
-def q_batch(k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Q values for a batch of permutations.
+def _line_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cell indices of both lines of every unordered line pair i <= j.
 
-    k, l: integer arrays of shape (B, d, d) holding the two matrices of
-    each permutation (any consistent labeling; only equality is used).
-    Returns an int64 array of length B.  Memory scales with B * d^5, so
-    callers chunk B.
+    A line is a grid row (pairs for Q_P) or a grid column (pairs for Q_PS,
+    which is Q of the transposed grid).  Row p of the two (d(d+1), d)
+    arrays holds, for m = 0..d-1, the cell at position m of the pair's
+    first and second line.  The 2d pairs with i == j come first.
     """
-    a = (l[:, :, None, :] == l[:, None, :, :]).astype(np.int32)  # (B,i,j,m)
-    b = (k[:, :, :, None] == k[:, :, None, :]).astype(np.int32)  # (B,i,m,n)
-    return np.einsum("bijm,bijn,bimn,bjmn->b", a, a, b, b, optimize=True).astype(
-        np.int64
-    )
+    i, j = np.triu_indices(d)
+    m = np.arange(d)
+    first = np.concatenate([i[:, None] * d + m, m * d + i[:, None]])
+    second = np.concatenate([j[:, None] * d + m, m * d + j[:, None]])
+    order = np.argsort(first[:, 0] != second[:, 0], kind="stable")
+    return first[order], second[order]
 
 
 def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
     """Q_P + Q_PS for a batch of flat permutations.
 
     flat: (B, d*d) array of 0-based images, row-major cell order.
+    Returns an int64 array of length B.
+
+    For a line pair (i, j), column m gets the key k_im*d + k_jm when
+    l_im == l_jm and the sentinel d^2 + m otherwise.  A group of c equal
+    keys contributes c^2 to the rectangle count, each sentinel (a group of
+    one) contributes nothing, so f(i, j) = sum c^2 - #sentinels.  After a
+    sort, the element at rank r within its run of equal keys closes r
+    equal pairs, and sum c^2 = sum over elements of (2r + 1); hence
+    f(i, j) = #matched + 2 sum r.  Q_P sums f over ordered row pairs,
+    f(i, j) = f(j, i), so pairs with i < j count twice.  Q_PS is the same
+    sum over column pairs.
+
+    The work is cut into tiles of at most KEY_BUDGET keys: whole
+    permutations at a time for small d, and blocks of line pairs of one
+    permutation once d(d+1) lines of d keys exceed the budget.  Within a
+    tile, line t's keys are offset by t(d^2 + d), so one flat sort orders
+    every line in place and no run crosses two lines.
     """
     _check_dimension(d)
     nb = flat.shape[0]
-    k = (flat // d).reshape(nb, d, d)
-    l = (flat % d).reshape(nb, d, d)
-    return q_batch(k, l) + q_batch(k.transpose(0, 2, 1), l.transpose(0, 2, 1))
+    first, second = _line_pairs(d)
+    n_lines = first.shape[0]
+    span = d * d + d
+    lines_per_tile = min(n_lines, max(1, KEY_BUDGET // d))
+    perms_per_tile = max(1, KEY_BUDGET // (lines_per_tile * d))
+    n_max = perms_per_tile * lines_per_tile * d
+    # keys < KEY_BUDGET * (d + 1), so int32 holds them for any d
+    sentinel = np.tile(d * d + np.arange(d, dtype=np.int32), n_max // d)
+    line_offset = np.repeat(np.arange(n_max // d, dtype=np.int32) * span, d)
+    offset_sentinel = sentinel + line_offset
+    positions = np.arange(n_max, dtype=np.int32)
+
+    totals = np.zeros(nb, dtype=np.int64)
+    for lo in range(0, nb, perms_per_tile):
+        cells = flat[lo : lo + perms_per_tile].astype(np.int32)
+        k = cells // d
+        l = cells - k * d
+        kd = k * d
+        for p0 in range(0, n_lines, lines_per_tile):
+            a = first[p0 : p0 + lines_per_tile]
+            b = second[p0 : p0 + lines_per_tile]
+            matched = (l[:, a] == l[:, b]).reshape(-1)
+            n = matched.size
+            keys = (kd[:, a] + k[:, b]).reshape(-1)
+            # np.where(matched, keys, sentinel) + offset, in arithmetic:
+            # np.where runs about ten times slower on a random mask
+            keys -= sentinel[:n]
+            keys *= matched
+            keys += offset_sentinel[:n]
+            keys.sort()
+            run_start = np.empty(n, dtype=bool)
+            run_start[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+            rank = positions[:n] * run_start
+            np.maximum.accumulate(rank, out=rank)
+            np.subtract(positions[:n], rank, out=rank)
+            rank *= 2
+            rank += matched
+            f = rank.reshape(cells.shape[0], -1)
+            n_diag = min(max(2 * d - p0, 0), a.shape[0]) * d
+            tile = 2 * f.sum(axis=1, dtype=np.int64)
+            tile -= f[:, :n_diag].sum(axis=1, dtype=np.int64)  # i == j once
+            totals[lo : lo + cells.shape[0]] += tile
+    return totals
 
 
 def epsilon_from_q(d: int, q_p: int, q_ps: int) -> Fraction:

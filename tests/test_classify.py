@@ -19,6 +19,7 @@ from permupower import (
     entangling_power,
     min_nonzero_perm,
 )
+from permupower import classify, golden
 from permupower.catalog import cnot_perm
 
 D2_CLASSES = (
@@ -107,6 +108,45 @@ class TestExhaustive:
         files[4].unlink()
         second = classify_exhaustive(3, checkpoint_dir=tmp_path)
         assert first.classes == second.classes == census_d3.classes
+
+    def test_checkpoint_persists_each_stratum(self, tmp_path, monkeypatch):
+        real = classify._stratum_q_counts
+        calls = []
+
+        def interrupted_at_fifth(d, stratum):
+            calls.append(stratum)
+            if len(calls) == 5:
+                raise RuntimeError("run interrupted")
+            return real(d, stratum)
+
+        monkeypatch.setattr(classify, "_stratum_q_counts", interrupted_at_fifth)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            classify_exhaustive(3, checkpoint_dir=tmp_path)
+        assert len(list(tmp_path.glob("census-d3-*.json"))) == 4
+
+        calls.clear()
+
+        def counted(d, stratum):
+            calls.append(stratum)
+            return real(d, stratum)
+
+        monkeypatch.setattr(classify, "_stratum_q_counts", counted)
+        hist = classify_exhaustive(3, checkpoint_dir=tmp_path)
+        assert calls == [4, 5, 6, 7, 8]
+        assert dict(hist.classes) == golden.expected_census(3)
+        assert len(list(tmp_path.glob("census-d3-*.json"))) == 9
+
+    def test_checkpoint_rejects_wrong_total(self, tmp_path):
+        classify_exhaustive(2, checkpoint_dir=tmp_path)
+        path = tmp_path / "census-d2-ranks-0-6.json"
+        payload = json.loads(path.read_text())
+        good = dict(payload["q_counts"])
+        payload["q_counts"] = {key: 2 * cnt for key, cnt in good.items()}
+        path.write_text(json.dumps(payload))
+        assert classify._load_checkpoint(path, 2, 0, 6) is None
+        hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
+        assert hist.classes == D2_CLASSES
+        assert json.loads(path.read_text())["q_counts"] == good
 
     def test_checkpoint_ignores_stale(self, tmp_path):
         stale = tmp_path / "census-d2-ranks-0-6.json"

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from permupower import cli
 from permupower.latin import parse_pair_file
 from permupower import entangling_power, parse_biperm
@@ -193,6 +195,58 @@ class TestVerify:
         monkeypatch.setitem(golden.EXPECTED_MEAN, 2, Fraction(1, 2))
         code, out, _ = run(["verify", "tables", "--d", "2"], capsys)
         assert code == 5 and "[FAIL]" in out
+
+
+class TestArgumentBoundary:
+    """Bad arguments end in exit 2 and one `error:` line, never a traceback."""
+
+    def rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_negative_seed(self, capsys, tmp_path):
+        argv = ["classify", "--d", "3", "--samples", "100", "--seed", "-1",
+                "--out", str(tmp_path / "x.json")]
+        assert "--seed" in self.rejected(argv, capsys)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_zero_workers(self, capsys, tmp_path):
+        argv = ["classify", "--d", "2", "--exhaustive", "--workers", "0",
+                "--out", str(tmp_path / "x.json")]
+        assert "--workers" in self.rejected(argv, capsys)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_sample_zero_dimension(self, capsys):
+        assert "--d" in self.rejected(["sample", "--d", "0"], capsys)
+
+    def test_sample_zero_count(self, capsys):
+        assert "--count" in self.rejected(["sample", "--d", "3", "--count", "0"], capsys)
+
+    def test_verify_zero_samples(self, capsys):
+        argv = ["verify", "formula-vs-oracle", "--d", "2", "--samples", "0"]
+        assert "--samples" in self.rejected(argv, capsys)
+
+    def test_non_integer_dimension(self, capsys):
+        assert "invalid int value" in self.rejected(["sample", "--d", "x"], capsys)
+
+    def test_classify_text_format(self, capsys, tmp_path):
+        argv = ["classify", "--d", "2", "--exhaustive", "--format", "text",
+                "--out", str(tmp_path / "x.json")]
+        assert "--format" in self.rejected(argv, capsys)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_other_errors_exit_1(self, capsys, tmp_path):
+        code, _, err = run(
+            ["classify", "--d", "3", "--samples", "0",
+             "--out", str(tmp_path / "x.json")], capsys,
+        )
+        assert code == 1 and err.startswith("error: ")
+        code, _, err = run(["power", "--builtin", "identity", "--d", "216"], capsys)
+        assert code == 1 and "cap 215" in err
 
 
 class TestConfig:

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permupower import (
     DegenerateDimension,
     DimensionTooLarge,
     IndexOutOfRange,
+    biperm_from_flat,
     biperm_to_flat,
     check_block_conditions,
     compose_with_swap,
@@ -26,10 +29,31 @@ from permupower import (
     swap_perm,
     WitnessKind,
 )
+from permupower import entangle
 from permupower.catalog import cnot_perm, r9_perm
 from permupower.entangle import q_totals_batch
 
 from conftest import random_biperms
+
+
+def flat_batch(perms) -> np.ndarray:
+    """0-based flat images of `perms`, one row each."""
+    return np.array(
+        [[v - 1 for v in biperm_to_flat(perm).image] for perm in perms],
+        dtype=np.int16,
+    )
+
+
+def scalar_totals(perms) -> list[int]:
+    return [q_of(perm) + q_of(compose_with_swap(perm)) for perm in perms]
+
+
+@st.composite
+def batches(draw):
+    """A dimension 2..7 and one to four 0-based flat permutations of it."""
+    d = draw(st.integers(min_value=2, max_value=7))
+    cells = list(range(d * d))
+    return d, draw(st.lists(st.permutations(cells), min_size=1, max_size=4))
 
 
 class TestQOf:
@@ -54,15 +78,40 @@ class TestQOf:
     def test_batch_equals_scalar(self):
         for d in (2, 3, 4):
             perms = random_biperms(17 + d, d, 50)
-            flat = np.array(
-                [[v - 1 for v in biperm_to_flat(perm).image] for perm in perms],
-                dtype=np.int16,
-            )
-            totals = q_totals_batch(flat, d)
-            expected = [
-                q_of(perm) + q_of(compose_with_swap(perm)) for perm in perms
-            ]
-            assert totals.tolist() == expected
+            assert q_totals_batch(flat_batch(perms), d).tolist() == scalar_totals(perms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(batches())
+    def test_batch_equals_naive(self, batch):
+        d, images = batch
+        totals = q_totals_batch(np.array(images, dtype=np.int16), d)
+        expected = []
+        for image in images:
+            perm = biperm_from_flat([v + 1 for v in image], d)
+            expected.append(q_of_naive(perm) + q_of_naive(compose_with_swap(perm)))
+        assert totals.dtype == np.int64
+        assert totals.tolist() == expected
+
+    @pytest.mark.parametrize("d", [3, 8, 12])
+    def test_batch_spanning_tiles(self, d):
+        per_tile = entangle.KEY_BUDGET // (d * d * (d + 1))
+        perms = random_biperms(300 + d, d, 2 * per_tile + 7)
+        perms += [identity_perm(d), swap_perm(d), superimpose(construct_mols(d))]
+        assert len(perms) > 2 * per_tile >= 2
+        assert q_totals_batch(flat_batch(perms), d).tolist() == scalar_totals(perms)
+
+    @pytest.mark.parametrize("budget", [1, 7, 30, 61, 200])
+    def test_batch_tiling_leaves_totals(self, monkeypatch, budget):
+        # a budget below d^2 (d+1) keys splits one permutation's d(d+1)
+        # line pairs over several tiles, as the default budget does from
+        # d = 40 up
+        perms = random_biperms(505, 5, 9) + [identity_perm(5), swap_perm(5)]
+        expected = scalar_totals(perms)
+        monkeypatch.setattr(entangle, "KEY_BUDGET", budget)
+        assert q_totals_batch(flat_batch(perms), 5).tolist() == expected
+
+    def test_batch_empty(self):
+        assert q_totals_batch(np.empty((0, 9), dtype=np.int16), 3).shape == (0,)
 
     def test_parity_and_range(self):
         for d in range(2, 7):
