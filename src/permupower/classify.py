@@ -7,9 +7,10 @@ runs parallelize and checkpoint per stratum, and merged results do not
 depend on worker count or scheduling.
 
 Sampled classification draws uniform permutations in fixed-size chunks,
-with the chunk c generator seeded as ``seed XOR c``; histograms and
-moments are accumulated as exact integers, so results are byte-identical
-for any worker count.
+with the chunk c generator seeded from the pair ``[seed, c]``, so no two
+chunks of seeds below 2**32 share a stream.  Both modes run their units
+through one driver that merges exact integer histograms, so results are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,35 +164,56 @@ def _histogram_from_q_counts(
     )
 
 
-# --- exhaustive census ---------------------------------------------------------
+# --- work units ---------------------------------------------------------------
 
 
-def _stratum_q_counts(d: int, stratum: int, chunk: int = 40320) -> dict[int, int]:
+def _flat_dtype(n: int) -> type:
+    return np.int32 if n > 32767 else np.int16
+
+
+def _q_histogram(flat: np.ndarray, d: int) -> Counter:
+    """Q_P + Q_PS histogram of a batch of flat 0-based permutations."""
+    values, counts = np.unique(q_totals_batch(flat, d), return_counts=True)
+    return Counter(dict(zip(values.tolist(), counts.tolist())))
+
+
+def _stratum_q_counts(d: int, stratum: int) -> Counter:
     """Q_P + Q_PS histogram over the permutations starting with `stratum`.
 
     Images are 0-based here; `stratum` ranges over 0..d^2-1.
     """
     n = d * d
-    dtype = np.int32 if n > 32767 else np.int16
     rest = [v for v in range(n) if v != stratum]
-    counts: dict[int, int] = {}
+    counts: Counter = Counter()
     source = itertools.permutations(rest)
-    while True:
-        block = list(itertools.islice(source, chunk))
-        if not block:
-            break
-        arr = np.empty((len(block), n), dtype=dtype)
+    # 8! = 40320 permutations per kernel call: one call per stratum at d = 3
+    while block := list(itertools.islice(source, 40320)):
+        arr = np.empty((len(block), n), dtype=_flat_dtype(n))
         arr[:, 0] = stratum
         arr[:, 1:] = block
-        q = q_totals_batch(arr, d)
-        for val, cnt in zip(*np.unique(q, return_counts=True)):
-            counts[int(val)] = counts.get(int(val), 0) + int(cnt)
+        counts.update(_q_histogram(arr, d))
     return counts
 
 
-def _merge_counts(into: dict[int, int], part: dict[int, int]) -> None:
-    for key, cnt in part.items():
-        into[key] = into.get(key, 0) + cnt
+def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
+    """Q_P + Q_PS histogram of `count` uniform permutations from chunk `chunk_index`."""
+    n = d * d
+    rng = np.random.default_rng([seed, chunk_index])
+    flat = rng.permuted(np.tile(np.arange(n, dtype=_flat_dtype(n)), (count, 1)), axis=1)
+    return _q_histogram(flat, d)
+
+
+def _run_units(fn: Callable, units: list[tuple], workers: int) -> Iterator:
+    """Yield fn(*unit) for each unit in order, serially or in a process pool."""
+    if workers > 1 and len(units) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, *zip(*units))
+    else:
+        for unit in units:
+            yield fn(*unit)
+
+
+# --- exhaustive census ---------------------------------------------------------
 
 
 def _checkpoint_path(directory: Path, d: int, lo: int, hi: int) -> Path:
@@ -249,58 +273,29 @@ def classify_exhaustive(
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
 
-    done: dict[int, dict[int, int]] = {}
-    pending: list[int] = []
+    merged: Counter = Counter()
+    pending: list[tuple[int, int]] = []
     for s in range(n):
         lo, hi = s * stratum_size, (s + 1) * stratum_size
+        cached = None
         if directory is not None:
             cached = _load_checkpoint(_checkpoint_path(directory, d, lo, hi), d, lo, hi)
-            if cached is not None:
-                done[s] = cached
-                continue
-        pending.append(s)
+        if cached is None:
+            pending.append((d, s))
+        else:
+            merged.update(cached)
 
-    def finish(s: int, counts: dict[int, int]) -> None:
-        done[s] = counts
+    # strict zip drains the runner, so its pool shuts down inside this loop
+    units = _run_units(_stratum_q_counts, pending, workers)
+    for counts, (_, s) in zip(units, pending, strict=True):
         if directory is not None:
             lo, hi = s * stratum_size, (s + 1) * stratum_size
             _write_checkpoint(_checkpoint_path(directory, d, lo, hi), d, lo, hi, counts)
-
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for s, counts in zip(pending, pool.map(_stratum_q_counts,
-                                                   [d] * len(pending), pending)):
-                finish(s, counts)
-    else:
-        for s in pending:
-            finish(s, _stratum_q_counts(d, s))
-
-    merged: dict[int, int] = {}
-    for s in range(n):
-        _merge_counts(merged, done[s])
+        merged.update(counts)
     return _histogram_from_q_counts(d, "exhaustive", merged)
 
 
 # --- sampled census -----------------------------------------------------------
-
-
-def _sample_chunk_q(
-    d: int, seed: int, chunk_index: int, count: int
-) -> tuple[dict[int, int], int, int]:
-    """Draw `count` uniform permutations and return (q_counts, sum_q, sum_q2)."""
-    n = d * d
-    rng = np.random.default_rng(seed ^ chunk_index)
-    dtype = np.int32 if n > 32767 else np.int16
-    base = np.tile(np.arange(n, dtype=dtype), (count, 1))
-    flat = rng.permuted(base, axis=1)
-    q = q_totals_batch(flat, d)
-    sum_q = int(q.sum())
-    if 4 * d**8 > 2**62:  # q^2 would overflow int64
-        sum_q2 = sum(int(v) * int(v) for v in q)
-    else:
-        sum_q2 = int((q * q).sum())
-    counts = {int(val): int(cnt) for val, cnt in zip(*np.unique(q, return_counts=True))}
-    return counts, sum_q, sum_q2
 
 
 def classify_sampled(
@@ -320,37 +315,16 @@ def classify_sampled(
         raise DegenerateDimension("sampling needs d >= 2")
     if samples < 2:
         raise InsufficientSamples("need at least 2 samples")
-    chunks = []
-    remaining = samples
-    index = 0
-    while remaining > 0:
-        take = min(SAMPLE_CHUNK, remaining)
-        chunks.append((index, take))
-        remaining -= take
-        index += 1
+    chunks = [
+        (d, seed, index, min(SAMPLE_CHUNK, samples - start))
+        for index, start in enumerate(range(0, samples, SAMPLE_CHUNK))
+    ]
+    merged: Counter = Counter()
+    for counts in _run_units(_sample_chunk_q, chunks, workers):
+        merged.update(counts)
 
-    results: dict[int, tuple[dict[int, int], int, int]] = {}
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {
-                idx: pool.submit(_sample_chunk_q, d, seed, idx, cnt)
-                for idx, cnt in chunks
-            }
-            for idx, fut in futs.items():
-                results[idx] = fut.result()
-    else:
-        for idx, cnt in chunks:
-            results[idx] = _sample_chunk_q(d, seed, idx, cnt)
-
-    merged: dict[int, int] = {}
-    sum_q = 0
-    sum_q2 = 0
-    for idx, _ in chunks:
-        counts, sq, sq2 = results[idx]
-        _merge_counts(merged, counts)
-        sum_q += sq
-        sum_q2 += sq2
-
+    sum_q = sum(q * c for q, c in merged.items())
+    sum_q2 = sum(q * q * c for q, c in merged.items())
     denom = d * (d - 1) * (d + 1) ** 2
     c_const = d**4 + d**2
     mean = (c_const - sum_q / samples) / denom

@@ -10,10 +10,12 @@ Exit codes:
      the cap of 215, or d = 1 where the entangling power is undefined
   2  unparsable input: a malformed or unreadable file, an unknown builtin,
      or a bad argument (negative `--seed`; `--d`, `--workers`, `--count`
-     or `verify --samples` below 1; a `--format` the command does not
-     write)
+     or `verify --samples` below 1; a flag the command does not take, such
+     as `--format` outside `power` and `classify`, `--force` outside
+     `classify` or `classify --samples` with `--checkpoint-dir`; a
+     `--format` the command does not write)
   3  unsupported Latin square order
-  4  enumeration budget exceeded
+  4  enumeration budget exceeded (`classify --force` overrides it)
   5  verification failure
 Every error exit prints one `error:` line to stderr.
 """
@@ -23,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,20 +66,6 @@ EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs, collected from flags and environment."""
-
-    command: str
-    dimension: int | None
-    seed: int
-    samples: int | None
-    workers: int
-    fmt: str
-    out: Path | None
-    force: bool
-
-
 def _default_workers() -> int:
     env = os.environ.get("PERMUPOWER_THREADS")
     if env:
@@ -111,9 +98,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "csv", "text")
-) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=_int_at_least(1), default=None, help="local dimension")
     parser.add_argument(
         "--seed", type=_int_at_least(0), default=DEFAULT_SEED,
@@ -123,15 +108,7 @@ def _add_common(
         "--workers", type=_int_at_least(1), default=None,
         help="parallel workers (default: PERMUPOWER_THREADS or 1)",
     )
-    parser.add_argument(
-        "--format", choices=formats, default="json",
-        help="output format (json is canonical)",
-    )
     parser.add_argument("--out", type=Path, default=None, help="output file")
-    parser.add_argument(
-        "--force", action="store_true",
-        help="override enumeration budget guards",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,6 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="named permutation: identity, swap, cnot, m, r9, d6hat, min:<d>, mols:<d>",
     )
     src.add_argument("--file", type=Path, help="permutation file (text form)")
+    p_power.add_argument(
+        "--format", choices=("json", "csv", "text"), default="json",
+        help="output format (json is canonical)",
+    )
     _add_common(p_power)
 
     p_cls = sub.add_parser("classify", help="census of permutations by power")
@@ -158,7 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir", type=Path, default=None,
         help="persist per-range partial histograms and resume from them",
     )
-    _add_common(p_cls, formats=("json", "csv"))
+    p_cls.add_argument(
+        "--force", action="store_true", help="override the exhaustive enumeration budget"
+    )
+    p_cls.add_argument(
+        "--format", choices=("json", "csv"), default="json",
+        help="output format (json is canonical)",
+    )
+    _add_common(p_cls)
 
     p_mols = sub.add_parser("mols", help="construct an orthogonal Latin pair")
     p_mols.add_argument(
@@ -185,19 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sample)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        dimension=args.d,
-        seed=args.seed,
-        samples=getattr(args, "samples", None),
-        workers=args.workers if args.workers is not None else _default_workers(),
-        fmt=args.format,
-        out=args.out,
-        force=args.force,
-    )
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -231,41 +206,43 @@ def _power_csv(report) -> str:
     )
 
 
-def cmd_power(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_power(args: argparse.Namespace) -> int:
     if args.builtin is not None:
-        perm = builtin_perm(args.builtin, cfg.dimension)
+        perm = builtin_perm(args.builtin, args.d)
     else:
         perm = parse_biperm(args.file.read_text())
     report = entangling_power(perm)
-    if cfg.fmt == "json":
-        _emit(report.to_json() + "\n", cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(_power_csv(report), cfg.out)
+    if args.format == "json":
+        _emit(report.to_json() + "\n", args.out)
+    elif args.format == "csv":
+        _emit(_power_csv(report), args.out)
     else:
-        _emit(_power_text(report), cfg.out)
+        _emit(_power_text(report), args.out)
     return EXIT_OK
 
 
 # --- classify -------------------------------------------------------------------
 
 
-def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    d = cfg.dimension
+def cmd_classify(args: argparse.Namespace) -> int:
+    d = args.d
     if d is None:
         raise ParseError("classify needs --d")
+    if args.checkpoint_dir is not None and not args.exhaustive:
+        raise ParseError("--checkpoint-dir applies to exhaustive runs only")
     if args.exhaustive:
         hist = classify_exhaustive(
-            d, workers=cfg.workers, force=cfg.force,
+            d, workers=args.workers, force=args.force,
             checkpoint_dir=args.checkpoint_dir,
         )
         stats = None
     else:
-        hist, stats = classify_sampled(d, args.samples, cfg.seed, workers=cfg.workers)
+        hist, stats = classify_sampled(d, args.samples, args.seed, workers=args.workers)
 
-    payload = hist.to_csv() if cfg.fmt == "csv" else hist.to_json() + "\n"
-    out = cfg.out
+    payload = hist.to_csv() if args.format == "csv" else hist.to_json() + "\n"
+    out = args.out
     if out is None:
-        suffix = "csv" if cfg.fmt == "csv" else "json"
+        suffix = "csv" if args.format == "csv" else "json"
         out = Path(f"classify-d{d}-{hist.mode}.{suffix}")
     out.write_text(payload)
 
@@ -283,13 +260,13 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- mols ----------------------------------------------------------------------
 
 
-def cmd_mols(args: argparse.Namespace, cfg: RunConfig) -> int:
-    d = cfg.dimension
+def cmd_mols(args: argparse.Namespace) -> int:
+    d = args.d
     if d is None:
         raise ParseError("mols needs --d")
     pair = construct_mols(d, table_file=args.table)
     perm = superimpose(pair)
-    out = cfg.out if cfg.out is not None else Path(f"mols-d{d}.txt")
+    out = args.out if args.out is not None else Path(f"mols-d{d}.txt")
     perm_path = Path(str(out) + ".perm")
     out.write_text(format_pair(pair))
     perm_path.write_text(format_biperm(perm))
@@ -303,13 +280,13 @@ def cmd_mols(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- sample --------------------------------------------------------------------
 
 
-def cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
-    d = cfg.dimension
+def cmd_sample(args: argparse.Namespace) -> int:
+    d = args.d
     if d is None:
         raise ParseError("sample needs --d")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     blocks = [format_biperm(random_perm(d, rng)) for _ in range(args.count)]
-    _emit("\n".join(blocks), cfg.out)
+    _emit("\n".join(blocks), args.out)
     return EXIT_OK
 
 
@@ -327,10 +304,10 @@ def _check(label: str, ok: bool, expected, actual) -> None:
         raise _VerifyFailure(label)
 
 
-def _verify_formula_vs_oracle(cfg: RunConfig) -> None:
-    d = cfg.dimension or 3
-    samples = cfg.samples or 100
-    rng = np.random.default_rng(cfg.seed)
+def _verify_formula_vs_oracle(args: argparse.Namespace) -> None:
+    d = args.d or 3
+    samples = args.samples or 100
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(samples):
         perm = random_perm(d, rng)
@@ -357,19 +334,19 @@ def _mc_within(perm, label: str, samples: int, seed: int) -> None:
            f"within 5 SE of {exact:.6f}", f"{dev:.2f} SE after retry")
 
 
-def _verify_mc_vs_formula(cfg: RunConfig) -> None:
-    samples = cfg.samples or 100_000
-    _mc_within(builtin_perm("cnot"), "cnot", samples, cfg.seed)
-    _mc_within(builtin_perm("r9"), "r9", samples, cfg.seed + 101)
-    d = cfg.dimension or 3
-    rng = np.random.default_rng(cfg.seed)
+def _verify_mc_vs_formula(args: argparse.Namespace) -> None:
+    samples = args.samples or 100_000
+    _mc_within(builtin_perm("cnot"), "cnot", samples, args.seed)
+    _mc_within(builtin_perm("r9"), "r9", samples, args.seed + 101)
+    d = args.d or 3
+    rng = np.random.default_rng(args.seed)
     for idx in range(3):
         perm = random_perm(d, rng)
-        _mc_within(perm, f"random d={d} #{idx}", samples, cfg.seed + 200 + idx)
+        _mc_within(perm, f"random d={d} #{idx}", samples, args.seed + 200 + idx)
 
 
-def _verify_theorem4(cfg: RunConfig) -> None:
-    dims = [cfg.dimension] if cfg.dimension else [3, 4, 5, 7, 8, 9, 11, 12]
+def _verify_theorem4(args: argparse.Namespace) -> None:
+    dims = [args.d] if args.d else [3, 4, 5, 7, 8, 9, 11, 12]
     for d in dims:
         pair = construct_mols(d)
         ok = (
@@ -388,8 +365,8 @@ def _verify_theorem4(cfg: RunConfig) -> None:
         _check(f"d={d} block conditions", blocks.all(), "all four", blocks)
 
 
-def _verify_theorem7(cfg: RunConfig) -> None:
-    dims = [cfg.dimension] if cfg.dimension else list(range(2, 9))
+def _verify_theorem7(args: argparse.Namespace) -> None:
+    dims = [args.d] if args.d else list(range(2, 9))
     for d in dims:
         report = entangling_power(min_nonzero_perm(d))
         expected = Fraction(8 * (d - 1), d * (d + 1) ** 2)
@@ -399,12 +376,12 @@ def _verify_theorem7(cfg: RunConfig) -> None:
         )
 
 
-def _verify_tables(cfg: RunConfig) -> None:
-    dims = [cfg.dimension] if cfg.dimension else [2, 3]
+def _verify_tables(args: argparse.Namespace) -> None:
+    dims = [args.d] if args.d else [2, 3]
     for d in dims:
         if d not in (2, 3):
             raise BudgetExceeded("reference census only available for d = 2, 3")
-        hist = classify_exhaustive(d, workers=cfg.workers)
+        hist = classify_exhaustive(d, workers=args.workers)
         expected = golden.expected_census(d)
         _check(
             f"d={d} census classes",
@@ -418,7 +395,7 @@ def _verify_tables(cfg: RunConfig) -> None:
         )
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     runner = {
         "formula-vs-oracle": _verify_formula_vs_oracle,
         "mc-vs-formula": _verify_mc_vs_formula,
@@ -427,7 +404,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         "tables": _verify_tables,
     }[args.target]
     try:
-        runner(cfg)
+        runner(args)
     except _VerifyFailure:
         return EXIT_VERIFY
     print("all checks passed")
@@ -440,7 +417,8 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    if args.workers is None:
+        args.workers = _default_workers()
     handler = {
         "power": cmd_power,
         "classify": cmd_classify,
@@ -449,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         "sample": cmd_sample,
     }[args.command]
     try:
-        return handler(args, cfg)
+        return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

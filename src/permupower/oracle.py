@@ -138,15 +138,19 @@ def state_of_unitary(u: Unitary) -> PureState:
     return PureState((d, d, d, d), amp.reshape(-1))
 
 
-def partial_trace(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on the 1-based subsystems in `keep`."""
+def _cut_matrix(psi: PureState, keep: Sequence[int]) -> np.ndarray:
+    """Amplitudes as a matrix, rows over the 1-based parts in `keep`."""
     keep0 = [k - 1 for k in keep]
-    nparts = len(psi.parts)
-    rest = [a for a in range(nparts) if a not in keep0]
+    rest = [a for a in range(len(psi.parts)) if a not in keep0]
     tensor = psi.amplitudes.reshape(psi.parts)
-    mat = tensor.transpose(*keep0, *rest).reshape(
+    return tensor.transpose(*keep0, *rest).reshape(
         int(np.prod([psi.parts[a] for a in keep0])), -1
     )
+
+
+def partial_trace(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced density matrix on the 1-based subsystems in `keep`."""
+    mat = _cut_matrix(psi, keep)
     return DensityMatrix(mat @ mat.conj().T)
 
 
@@ -159,13 +163,7 @@ def linear_entropy(psi: PureState, cut: Sequence[int]) -> float:
     norm = float(np.linalg.norm(psi.amplitudes))
     if abs(norm - 1.0) > STRUCTURE_TOL:
         raise UnnormalizedState(f"norm {norm} deviates from 1")
-    keep0 = [c - 1 for c in cut]
-    nparts = len(psi.parts)
-    rest = [a for a in range(nparts) if a not in keep0]
-    tensor = psi.amplitudes.reshape(psi.parts)
-    mat = tensor.transpose(*keep0, *rest).reshape(
-        int(np.prod([psi.parts[a] for a in keep0])), -1
-    )
+    mat = _cut_matrix(psi, cut)
     gram = mat @ mat.conj().T
     purity = float(np.sum(np.abs(gram) ** 2).real)
     dim = min(mat.shape)

@@ -10,7 +10,9 @@ single index t in [d^2] is row-major with i major:
 Everything here is immutable after construction and safe to share across
 threads.  Parallel consumers of `enumerate_perms` should split the rank
 interval; parallel users of `random_perm` must give each worker its own
-generator, seeded as ``base_seed XOR worker_index``.
+generator, ``np.random.default_rng([base_seed, worker_index])``.  (With
+``base_seed XOR worker_index``, worker 1 of seed 42 would draw the stream
+of worker 0 of seed 43.)
 """
 
 from __future__ import annotations

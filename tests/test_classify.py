@@ -2,8 +2,10 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permupower import (
@@ -21,6 +23,7 @@ from permupower import (
 )
 from permupower import classify, golden
 from permupower.catalog import cnot_perm
+from permupower.entangle import q_totals_batch
 
 D2_CLASSES = (
     (Fraction(0), 8),
@@ -187,6 +190,27 @@ class TestSampled:
     def test_exact_sample_mean_matches_stats(self):
         hist, stats = classify_sampled(3, 20_000, seed=3)
         assert float(hist.mean()) == pytest.approx(stats.mean_epsilon, abs=1e-12)
+
+    def test_std_error_from_histogram(self):
+        # two chunks, so the moments come from a merged histogram; the
+        # tolerance covers the float64 cancellation in the reported value
+        hist, stats = classify_sampled(3, 60_000, seed=11)
+        n, mean = hist.total, hist.mean()
+        var = sum((k - mean) ** 2 * c for k, c in hist.classes) / (n - 1)
+        assert stats.std_error == pytest.approx(math.sqrt(var / n), rel=1e-9)
+
+    def test_chunk_streams_independent(self):
+        # chunk 1 of seed s must not replay chunk 0 of seed s + 1
+        for seed in (42, 1000):
+            later = classify._sample_chunk_q(4, seed, 1, 500)
+            assert later != classify._sample_chunk_q(4, seed + 1, 0, 500)
+
+    def test_first_chunk_draws_from_plain_seed(self):
+        # runs of at most SAMPLE_CHUNK samples keep the plain seed's stream
+        rng = np.random.default_rng(42)
+        flat = rng.permuted(np.tile(np.arange(16, dtype=np.int16), (500, 1)), axis=1)
+        expected = Counter(q_totals_batch(flat, 4).tolist())
+        assert classify._sample_chunk_q(4, 42, 0, 500) == expected
 
     def test_degenerate(self):
         with pytest.raises(DegenerateDimension):

@@ -239,6 +239,22 @@ class TestArgumentBoundary:
         assert "--format" in self.rejected(argv, capsys)
         assert not (tmp_path / "x.json").exists()
 
+    def test_mols_format(self, capsys, tmp_path):
+        argv = ["mols", "--d", "5", "--format", "csv", "--out", str(tmp_path / "p.txt")]
+        assert "--format" in self.rejected(argv, capsys)
+        assert not any(tmp_path.iterdir())
+
+    def test_power_force(self, capsys):
+        assert "--force" in self.rejected(["power", "--builtin", "r9", "--force"], capsys)
+
+    def test_sampled_checkpoint_dir(self, capsys, tmp_path):
+        argv = ["classify", "--d", "3", "--samples", "100",
+                "--checkpoint-dir", str(tmp_path / "ck"), "--out", str(tmp_path / "x.json")]
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "--checkpoint-dir" in err
+        assert not any(tmp_path.iterdir())
+
     def test_other_errors_exit_1(self, capsys, tmp_path):
         code, _, err = run(
             ["classify", "--d", "3", "--samples", "0",
