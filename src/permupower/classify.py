@@ -7,20 +7,21 @@ runs parallelize and checkpoint per stratum, and merged results do not
 depend on worker count or scheduling.
 
 Sampled classification draws uniform permutations in fixed-size chunks,
-with the chunk c generator seeded from the pair ``[seed, c]``, so no two
-chunks of seeds below 2**32 share a stream.  Both modes run their units
-through one driver that merges exact integer histograms, so results are
-byte-identical for any worker count.
+with the chunk c generator seeded from the pair ``[seed, c]``.  Seeds are
+limited to [0, 2**32): numpy splits a larger seed into 32-bit words, so
+chunk c of seed s would replay chunk 0 of seed s + c * 2**32.  Both modes
+draw their blocks from the permutation source in `perm_core` and run their
+units through one driver that merges exact integer histograms, so results
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,10 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateDimension, InsufficientSamples
-from .perm_core import BiPerm, identity_perm
+from .perm_core import BiPerm, identity_perm, lex_blocks, random_blocks
 from .entangle import q_totals_batch
 
 SAMPLE_CHUNK = 50_000
+
+# Sampled seeds lie in [0, SEED_BOUND), where every chunk stream is distinct.
+SEED_BOUND = 1 << 32
 
 
 def class_bound(d: int) -> int:
@@ -167,40 +171,29 @@ def _histogram_from_q_counts(
 # --- work units ---------------------------------------------------------------
 
 
-def _flat_dtype(n: int) -> type:
-    return np.int32 if n > 32767 else np.int16
-
-
-def _q_histogram(flat: np.ndarray, d: int) -> Counter:
-    """Q_P + Q_PS histogram of a batch of flat 0-based permutations."""
-    values, counts = np.unique(q_totals_batch(flat, d), return_counts=True)
-    return Counter(dict(zip(values.tolist(), counts.tolist())))
+def _q_histogram(blocks: Iterable[np.ndarray], d: int) -> Counter:
+    """Q_P + Q_PS histogram over blocks of flat 0-based permutations."""
+    counts: Counter = Counter()
+    for flat in blocks:
+        values, hits = np.unique(q_totals_batch(flat, d), return_counts=True)
+        counts.update(dict(zip(values.tolist(), hits.tolist())))
+    return counts
 
 
 def _stratum_q_counts(d: int, stratum: int) -> Counter:
     """Q_P + Q_PS histogram over the permutations starting with `stratum`.
 
-    Images are 0-based here; `stratum` ranges over 0..d^2-1.
+    Images are 0-based here; `stratum` ranges over 0..d^2-1, and its
+    permutations are the ranks [stratum, stratum + 1) * (d^2 - 1)!.
     """
-    n = d * d
-    rest = [v for v in range(n) if v != stratum]
-    counts: Counter = Counter()
-    source = itertools.permutations(rest)
-    # 8! = 40320 permutations per kernel call: one call per stratum at d = 3
-    while block := list(itertools.islice(source, 40320)):
-        arr = np.empty((len(block), n), dtype=_flat_dtype(n))
-        arr[:, 0] = stratum
-        arr[:, 1:] = block
-        counts.update(_q_histogram(arr, d))
-    return counts
+    size = math.factorial(d * d - 1)
+    return _q_histogram(lex_blocks(d * d, stratum * size, (stratum + 1) * size), d)
 
 
 def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
     """Q_P + Q_PS histogram of `count` uniform permutations from chunk `chunk_index`."""
-    n = d * d
     rng = np.random.default_rng([seed, chunk_index])
-    flat = rng.permuted(np.tile(np.arange(n, dtype=_flat_dtype(n)), (count, 1)), axis=1)
-    return _q_histogram(flat, d)
+    return _q_histogram(random_blocks(d * d, count, rng), d)
 
 
 def _run_units(fn: Callable, units: list[tuple], workers: int) -> Iterator:
@@ -315,6 +308,8 @@ def classify_sampled(
         raise DegenerateDimension("sampling needs d >= 2")
     if samples < 2:
         raise InsufficientSamples("need at least 2 samples")
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed {seed} outside [0, 2**32)")
     chunks = [
         (d, seed, index, min(SAMPLE_CHUNK, samples - start))
         for index, start in enumerate(range(0, samples, SAMPLE_CHUNK))

@@ -9,10 +9,11 @@ Exit codes:
   1  any other invalid request, e.g. `classify --samples` below 2, d above
      the cap of 215, or d = 1 where the entangling power is undefined
   2  unparsable input: a malformed or unreadable file, an unknown builtin,
-     or a bad argument (negative `--seed`; `--d`, `--workers`, `--count`
-     or `verify --samples` below 1; a flag the command does not take, such
-     as `--format` outside `power` and `classify`, `--force` outside
-     `classify` or `classify --samples` with `--checkpoint-dir`; a
+     or a bad argument (`--seed` outside [0, 2^32); `--d`, `--workers`,
+     `--count` or `verify --samples` below 1; a flag the command does not
+     read, such as `--format` outside `power` and `classify`, `--seed` or
+     `--workers` on `mols`, `--workers` on `sample`, `--out` on `verify`,
+     or `classify --samples` with `--checkpoint-dir` or `--force`; a
      `--format` the command does not write)
   3  unsupported Latin square order
   4  enumeration budget exceeded (`classify --force` overrides it)
@@ -33,6 +34,7 @@ import numpy as np
 from . import golden
 from .catalog import builtin_perm
 from .classify import (
+    SEED_BOUND,
     class_bound,
     classify_exhaustive,
     classify_sampled,
@@ -83,8 +85,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _int_at_least(low: int, below: int | None = None):
+    """argparse type: an integer no smaller than `low` (and below `below`)."""
 
     def parse(text: str) -> int:
         try:
@@ -93,22 +95,31 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=_int_at_least(1), default=None, help="local dimension")
-    parser.add_argument(
-        "--seed", type=_int_at_least(0), default=DEFAULT_SEED,
-        help=f"base seed for random draws, >= 0 (default {DEFAULT_SEED})",
-    )
-    parser.add_argument(
-        "--workers", type=_int_at_least(1), default=None,
+# The flags several subcommands share; each subcommand registers the ones it reads.
+_COMMON = {
+    "d": dict(type=_int_at_least(1), default=None, help="local dimension"),
+    "seed": dict(
+        type=_int_at_least(0, SEED_BOUND), default=DEFAULT_SEED,
+        help=f"base seed for random draws, in [0, 2^32) (default {DEFAULT_SEED})",
+    ),
+    "workers": dict(
+        type=_int_at_least(1), default=None,
         help="parallel workers (default: PERMUPOWER_THREADS or 1)",
-    )
-    parser.add_argument("--out", type=Path, default=None, help="output file")
+    ),
+    "out": dict(type=Path, default=None, help="output file"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "text"), default="json",
         help="output format (json is canonical)",
     )
-    _add_common(p_power)
+    _add_common(p_power, "d", "seed", "workers", "out")
 
     p_cls = sub.add_parser("classify", help="census of permutations by power")
     mode = p_cls.add_mutually_exclusive_group(required=True)
@@ -146,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv"), default="json",
         help="output format (json is canonical)",
     )
-    _add_common(p_cls)
+    _add_common(p_cls, "d", "seed", "workers", "out")
 
     p_mols = sub.add_parser("mols", help="construct an orthogonal Latin pair")
     p_mols.add_argument(
         "--table", type=Path, default=None,
         help="load the pair from a file instead of constructing (validated)",
     )
-    _add_common(p_mols)
+    _add_common(p_mols, "d", "out")
 
     p_ver = sub.add_parser("verify", help="run a named cross-check suite")
     p_ver.add_argument(
@@ -164,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_int_at_least(1), default=None,
         help="sample count for the statistical targets",
     )
-    _add_common(p_ver)
+    _add_common(p_ver, "d", "seed", "workers")
 
     p_sample = sub.add_parser("sample", help="draw uniform random permutations")
     p_sample.add_argument(
         "--count", type=_int_at_least(1), default=1, help="how many to draw"
     )
-    _add_common(p_sample)
+    _add_common(p_sample, "d", "seed", "out")
 
     return parser
 
@@ -230,6 +241,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise ParseError("classify needs --d")
     if args.checkpoint_dir is not None and not args.exhaustive:
         raise ParseError("--checkpoint-dir applies to exhaustive runs only")
+    if args.force and not args.exhaustive:
+        raise ParseError("--force applies to exhaustive runs only")
     if args.exhaustive:
         hist = classify_exhaustive(
             d, workers=args.workers, force=args.force,
@@ -417,7 +430,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is None:
+    if "workers" in vars(args) and args.workers is None:
         args.workers = _default_workers()
     handler = {
         "power": cmd_power,

@@ -7,10 +7,18 @@ single index t in [d^2] is row-major with i major:
 
     t = (i - 1) * d + j,        i = ceil(t / d),  j = ((t - 1) mod d) + 1.
 
+A flat image is a plain tuple of ints at the file boundary; inside a
+census, flat permutations travel as numpy blocks of 0-based images, one
+permutation per row, never more than `BLOCK_CELLS` cells to a block.
+`lex_blocks` cuts the lexicographic order into strata of consecutive
+ranks and each stratum into blocks that share all but their last r
+positions; `random_blocks` draws uniform permutations in blocks.
+
 Everything here is immutable after construction and safe to share across
-threads.  Parallel consumers of `enumerate_perms` should split the rank
-interval; parallel users of `random_perm` must give each worker its own
-generator, ``np.random.default_rng([base_seed, worker_index])``.  (With
+threads.  Parallel consumers of `enumerate_perms` or `lex_blocks` should
+split the rank interval; parallel users of `random_perm` or
+`random_blocks` must give each worker its own generator,
+``np.random.default_rng([base_seed, worker_index])``.  (With
 ``base_seed XOR worker_index``, worker 1 of seed 42 would draw the stream
 of worker 0 of seed 43.)
 """
@@ -18,10 +26,11 @@ of worker 0 of seed 43.)
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,31 +39,9 @@ from .errors import BudgetExceeded, DimensionMismatch, NotBijection, ParseError
 # d^2! enumeration is only reasonable up to 9! = 362880.
 ENUMERATION_MAX_D = 3
 
-
-class FlatPerm:
-    """A permutation of [n] in one-line notation (1-based images)."""
-
-    __slots__ = ("n", "image")
-
-    def __init__(self, image: Sequence[int]):
-        image = tuple(int(v) for v in image)
-        n = len(image)
-        if sorted(image) != list(range(1, n + 1)):
-            raise NotBijection(f"image of length {n} is not a bijection of [{n}]")
-        self.n = n
-        self.image = image
-
-    def __call__(self, t: int) -> int:
-        return self.image[t - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FlatPerm) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
-
-    def __repr__(self) -> str:
-        return f"FlatPerm({list(self.image)})"
+# Most cells (rows times d^2) in one permutation block.  Lexicographic
+# blocks hold r! rows for the largest r this allows: r = 8 at d = 3 and 4.
+BLOCK_CELLS = 1 << 20
 
 
 class BiPerm:
@@ -124,47 +111,51 @@ class NonEntanglingWitness:
     """
 
     kind: WitnessKind
-    p_a: FlatPerm
-    p_b: FlatPerm
+    p_a: tuple[int, ...]
+    p_b: tuple[int, ...]
 
     def reconstruct(self, d: int) -> BiPerm:
         """Rebuild the full grid permutation this witness describes."""
         if self.kind is WitnessKind.IDENTITY_LIKE:
-            k = [[self.p_a(i)] * d for i in range(1, d + 1)]
-            l = [[self.p_b(j) for j in range(1, d + 1)] for _ in range(d)]
+            k = [[a] * d for a in self.p_a]
+            l = [self.p_b] * d
         else:
-            k = [[self.p_a(j) for j in range(1, d + 1)] for _ in range(d)]
-            l = [[self.p_b(i)] * d for i in range(1, d + 1)]
+            k = [self.p_a] * d
+            l = [[b] * d for b in self.p_b]
         return BiPerm(k, l)
 
 
-def biperm_from_flat(p: FlatPerm | Sequence[int], d: int) -> BiPerm:
-    """Reshape a flat permutation of [d^2] into the (K, L) pair."""
-    if not isinstance(p, FlatPerm):
-        p = FlatPerm(p)
-    if p.n != d * d:
-        raise DimensionMismatch(f"flat permutation has length {p.n}, need d^2 = {d * d}")
-    k = []
-    l = []
-    for i in range(d):
-        krow = []
-        lrow = []
-        for j in range(d):
-            out = p.image[i * d + j] - 1
-            krow.append(out // d + 1)
-            lrow.append(out % d + 1)
-        k.append(tuple(krow))
-        l.append(tuple(lrow))
-    return BiPerm._trusted(d, tuple(k), tuple(l))
+def biperm_from_flat(image: Sequence[int], d: int) -> BiPerm:
+    """Reshape a flat permutation of [d^2] (1-based images) into the (K, L) pair.
+
+    Raises DimensionMismatch unless the image has d^2 entries, and
+    NotBijection, naming the first offending token, unless it is a
+    bijection of [d^2].
+    """
+    image = tuple(map(int, image))
+    n = d * d
+    if len(image) != n:
+        raise DimensionMismatch(f"flat permutation has length {len(image)}, need d^2 = {n}")
+    if sorted(image) != list(range(1, n + 1)):
+        seen = set()
+        for pos, v in enumerate(image, start=1):
+            if not 1 <= v <= n:
+                raise NotBijection(f"token {pos}: value {v} outside [1, {n}]")
+            if v in seen:
+                raise NotBijection(f"token {pos}: duplicate value {v}")
+            seen.add(v)
+    rows = [image[i : i + d] for i in range(0, n, d)]
+    k = tuple(tuple((v - 1) // d + 1 for v in row) for row in rows)
+    l = tuple(tuple((v - 1) % d + 1 for v in row) for row in rows)
+    return BiPerm._trusted(d, k, l)
 
 
-def biperm_to_flat(perm: BiPerm) -> FlatPerm:
-    """Inverse of biperm_from_flat."""
+def biperm_to_flat(perm: BiPerm) -> tuple[int, ...]:
+    """Inverse of biperm_from_flat: the 1-based flat image as a tuple."""
     d = perm.d
-    image = [
-        (perm.k[i][j] - 1) * d + perm.l[i][j] for i in range(d) for j in range(d)
-    ]
-    return FlatPerm(image)
+    return tuple(
+        (ki - 1) * d + li for krow, lrow in zip(perm.k, perm.l) for ki, li in zip(krow, lrow)
+    )
 
 
 def identity_perm(d: int) -> BiPerm:
@@ -204,47 +195,74 @@ def detect_non_entangling(perm: BiPerm) -> NonEntanglingWitness | None:
     ):
         return NonEntanglingWitness(
             WitnessKind.IDENTITY_LIKE,
-            p_a=FlatPerm([row[0] for row in k]),
-            p_b=FlatPerm(l[0]),
+            p_a=tuple(row[0] for row in k),
+            p_b=l[0],
         )
     if all(k[i] == k[0] for i in range(d)) and all(
         row.count(row[0]) == d for row in l
     ):
         return NonEntanglingWitness(
             WitnessKind.SWAP_LIKE,
-            p_a=FlatPerm(k[0]),
-            p_b=FlatPerm([row[0] for row in l]),
+            p_a=k[0],
+            p_b=tuple(row[0] for row in l),
         )
     return None
 
 
-def unrank_flat(n: int, rank: int) -> tuple[int, ...]:
-    """Permutation of [n] at the given lexicographic rank (0-based)."""
-    if not 0 <= rank < math.factorial(n):
-        raise IndexError(f"rank {rank} outside [0, {n}!)")
-    avail = list(range(1, n + 1))
-    out = []
-    for pos in range(n, 0, -1):
-        f = math.factorial(pos - 1)
-        idx, rank = divmod(rank, f)
-        out.append(avail.pop(idx))
-    return tuple(out)
+@functools.cache
+def _lex_table(r: int) -> np.ndarray:
+    """All permutations of range(r) in lexicographic order, shape (r!, r).
+
+    Read-only, since every caller in the process shares it.
+    """
+    table = np.array(list(itertools.permutations(range(r))), dtype=np.uint8)
+    table.flags.writeable = False
+    return table
 
 
-def next_flat_inplace(image: list[int]) -> bool:
-    """Advance to the lexicographic successor; False when already last."""
-    n = len(image)
-    i = n - 2
-    while i >= 0 and image[i] >= image[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = n - 1
-    while image[j] <= image[i]:
-        j -= 1
-    image[i], image[j] = image[j], image[i]
-    image[i + 1 :] = image[:i:-1]
-    return True
+def lex_blocks(n: int, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
+    """Permutations of range(n) with lexicographic ranks in [start, stop).
+
+    Yields int32 blocks of 0-based images, one permutation per row, in
+    rank order.  A full block holds the r! permutations that share their
+    first n - r symbols, for the largest r with r! * n <= BLOCK_CELLS:
+    the prefixes come from `itertools.permutations` in order, and the last
+    r positions index the sorted remaining symbols with the cached
+    lexicographic table of range(r).
+    """
+    r = 1
+    while r < n and math.factorial(r + 1) * n <= BLOCK_CELLS:
+        r += 1
+    size = math.factorial(r)
+    stop = math.factorial(n) if stop is None else stop
+    if start >= stop:
+        return
+    table = _lex_table(r)
+    first = start // size
+    prefixes = itertools.islice(
+        itertools.permutations(range(n), n - r), first, -(-stop // size)
+    )
+    for b, prefix in enumerate(prefixes, start=first):
+        rows = table[max(start - b * size, 0) : stop - b * size]
+        rest = np.array(sorted(set(range(n)).difference(prefix)), dtype=np.int32)
+        block = np.empty((rows.shape[0], n), dtype=np.int32)
+        block[:, : n - r] = prefix
+        block[:, n - r :] = rest[rows]
+        yield block
+
+
+def random_blocks(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """`count` uniform permutations of range(n), in int32 blocks of 0-based images.
+
+    Blocks hold at most BLOCK_CELLS cells.  Every row is one
+    `rng.permuted` draw, so the rows equal those of a single
+    `rng.permuted` call over all `count` rows, whatever the block size.
+    """
+    rows = max(1, BLOCK_CELLS // n)
+    base = np.arange(n, dtype=np.int32)
+    for lo in range(0, count, rows):
+        block = np.tile(base, (min(rows, count - lo), 1))
+        yield rng.permuted(block, axis=1, out=block)
 
 
 def enumerate_perms(
@@ -263,39 +281,16 @@ def enumerate_perms(
         raise BudgetExceeded(
             f"d = {d} means {d * d}! permutations; pass allow_large to override"
         )
-    n = d * d
-    total = math.factorial(n)
-    stop = total if stop is None else min(stop, total)
-    if start >= stop:
-        return
-    if start == 0:
-        source: Iterable[tuple[int, ...]] = itertools.islice(
-            itertools.permutations(range(1, n + 1)), stop
-        )
-        for image in source:
-            yield _biperm_from_image(image, d)
-        return
-    image = list(unrank_flat(n, start))
-    for _ in range(stop - start):
-        yield _biperm_from_image(tuple(image), d)
-        if not next_flat_inplace(image):
-            break
-
-
-def _biperm_from_image(image: tuple[int, ...], d: int) -> BiPerm:
-    k = []
-    l = []
-    for i in range(d):
-        row = image[i * d : (i + 1) * d]
-        k.append(tuple((v - 1) // d + 1 for v in row))
-        l.append(tuple((v - 1) % d + 1 for v in row))
-    return BiPerm._trusted(d, tuple(k), tuple(l))
+    for block in lex_blocks(d * d, start, stop):
+        ks = (block // d + 1).reshape(-1, d, d).tolist()
+        ls = (block % d + 1).reshape(-1, d, d).tolist()
+        for k, l in zip(ks, ls):
+            yield BiPerm._trusted(d, tuple(map(tuple, k)), tuple(map(tuple, l)))
 
 
 def random_perm(d: int, rng: np.random.Generator) -> BiPerm:
     """Uniformly random grid permutation from the given generator."""
-    image = rng.permutation(d * d) + 1
-    return _biperm_from_image(tuple(int(v) for v in image), d)
+    return biperm_from_flat((rng.permutation(d * d) + 1).tolist(), d)
 
 
 # --- text serialization -----------------------------------------------------
@@ -305,8 +300,7 @@ def random_perm(d: int, rng: np.random.Generator) -> BiPerm:
 
 
 def format_biperm(perm: BiPerm) -> str:
-    flat = biperm_to_flat(perm)
-    return f"d={perm.d}\n" + " ".join(str(v) for v in flat.image) + "\n"
+    return f"d={perm.d}\n" + " ".join(map(str, biperm_to_flat(perm))) + "\n"
 
 
 def parse_biperm(text: str) -> BiPerm:
@@ -328,16 +322,12 @@ def parse_biperm(text: str) -> BiPerm:
     if len(tokens) != n:
         raise ParseError(f"line 2: expected {n} values, got {len(tokens)}")
     image = []
-    seen = set()
     for pos, tok in enumerate(tokens, start=1):
         try:
-            v = int(tok)
+            image.append(int(tok))
         except ValueError:
             raise ParseError(f"line 2, token {pos}: {tok!r} is not an integer") from None
-        if not 1 <= v <= n:
-            raise ParseError(f"line 2, token {pos}: value {v} outside [1, {n}]")
-        if v in seen:
-            raise ParseError(f"line 2, token {pos}: duplicate value {v}")
-        seen.add(v)
-        image.append(v)
-    return biperm_from_flat(image, d)
+    try:
+        return biperm_from_flat(image, d)
+    except NotBijection as exc:
+        raise ParseError(f"line 2, {exc}") from None

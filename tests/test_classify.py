@@ -24,6 +24,7 @@ from permupower import (
 from permupower import classify, golden
 from permupower.catalog import cnot_perm
 from permupower.entangle import q_totals_batch
+from permupower.perm_core import BLOCK_CELLS
 
 D2_CLASSES = (
     (Fraction(0), 8),
@@ -206,15 +207,42 @@ class TestSampled:
             assert later != classify._sample_chunk_q(4, seed + 1, 0, 500)
 
     def test_first_chunk_draws_from_plain_seed(self):
-        # runs of at most SAMPLE_CHUNK samples keep the plain seed's stream
-        rng = np.random.default_rng(42)
-        flat = rng.permuted(np.tile(np.arange(16, dtype=np.int16), (500, 1)), axis=1)
-        expected = Counter(q_totals_batch(flat, 4).tolist())
-        assert classify._sample_chunk_q(4, 42, 0, 500) == expected
+        # runs of at most SAMPLE_CHUNK samples keep the plain seed's stream,
+        # also when the chunk is drawn in several blocks
+        for d, count, blocks in ((4, 500, 1), (8, 40_000, 3)):
+            assert math.ceil(count / (BLOCK_CELLS // (d * d))) == blocks
+            rng = np.random.default_rng(42)
+            base = np.tile(np.arange(d * d, dtype=np.int16), (count, 1))
+            expected = Counter(q_totals_batch(rng.permuted(base, axis=1), d).tolist())
+            assert classify._sample_chunk_q(d, 42, 0, count) == expected
+
+    def test_sampled_blocks_bounded(self, monkeypatch):
+        # a stub kernel records every block it is given; at d = 215 one
+        # permutation has 46,225 cells, so a chunk must be cut into blocks
+        d, count = 215, 100
+        shapes = []
+
+        def stub(flat, d):
+            shapes.append(flat.shape)
+            return np.full(flat.shape[0], 2 * d * d, dtype=np.int64)
+
+        monkeypatch.setattr(classify, "q_totals_batch", stub)
+        assert classify._sample_chunk_q(d, 7, 0, count) == Counter({2 * d * d: count})
+        assert len(shapes) > 1
+        assert all(cols == d * d and rows * cols <= BLOCK_CELLS for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == count
 
     def test_degenerate(self):
         with pytest.raises(DegenerateDimension):
             classify_sampled(1, 100, seed=0)
+
+    def test_seed_range(self):
+        # chunk c of seed s would replay chunk 0 of seed s + c * 2**32
+        for seed in (-1, 2**32, 2**32 + 42):
+            with pytest.raises(ValueError, match="seed"):
+                classify_sampled(2, 100, seed=seed)
+        hist, _ = classify_sampled(2, 100, seed=2**32 - 1)
+        assert hist.total == 100
 
 
 class TestMinNonzero:

@@ -255,6 +255,36 @@ class TestArgumentBoundary:
         assert "--checkpoint-dir" in err
         assert not any(tmp_path.iterdir())
 
+    def test_verify_out(self, capsys, tmp_path):
+        argv = ["verify", "theorem7", "--d", "3", "--out", str(tmp_path / "v.txt")]
+        assert "--out" in self.rejected(argv, capsys)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
+    def test_mols_seed_and_workers(self, capsys, tmp_path, flag):
+        argv = ["mols", "--d", "5", flag, "2", "--out", str(tmp_path / "p.txt")]
+        assert flag in self.rejected(argv, capsys)
+        assert not any(tmp_path.iterdir())
+
+    def test_sample_workers(self, capsys):
+        assert "--workers" in self.rejected(["sample", "--d", "2", "--workers", "2"], capsys)
+
+    def test_sampled_force(self, capsys, tmp_path):
+        argv = ["classify", "--d", "3", "--samples", "100", "--force",
+                "--out", str(tmp_path / "x.json")]
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "--force" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_seed_bound(self, capsys, tmp_path):
+        argv = ["classify", "--d", "3", "--samples", "100", "--seed", str(2**32),
+                "--out", str(tmp_path / "x.json")]
+        assert "--seed" in self.rejected(argv, capsys)
+        assert not any(tmp_path.iterdir())
+        code, out, _ = run(["sample", "--d", "2", "--seed", str(2**32 - 1)], capsys)
+        assert code == 0 and out.startswith("d=2")
+
     def test_other_errors_exit_1(self, capsys, tmp_path):
         code, _, err = run(
             ["classify", "--d", "3", "--samples", "0",

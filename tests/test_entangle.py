@@ -39,7 +39,7 @@ from conftest import random_biperms
 def flat_batch(perms) -> np.ndarray:
     """0-based flat images of `perms`, one row each."""
     return np.array(
-        [[v - 1 for v in biperm_to_flat(perm).image] for perm in perms],
+        [[v - 1 for v in biperm_to_flat(perm)] for perm in perms],
         dtype=np.int16,
     )
 

@@ -10,7 +10,6 @@ from permupower import (
     BiPerm,
     BudgetExceeded,
     DimensionMismatch,
-    FlatPerm,
     NotBijection,
     ParseError,
     WitnessKind,
@@ -25,7 +24,6 @@ from permupower import (
     random_perm,
     swap_perm,
 )
-from permupower.perm_core import next_flat_inplace, unrank_flat
 
 from conftest import random_biperms
 
@@ -55,7 +53,7 @@ class TestBiPermFromFlat:
         with pytest.raises(NotBijection):
             biperm_from_flat((1, 1, 3, 4), 2)
         with pytest.raises(NotBijection):
-            FlatPerm((1, 2, 2, 4))
+            biperm_from_flat((1, 2, 2, 4), 2)
 
     def test_biperm_validation(self):
         with pytest.raises(NotBijection):
@@ -66,17 +64,17 @@ class TestBiPermFromFlat:
     def test_roundtrip_exhaustive_small(self):
         for d in (1, 2):
             for p in itertools.permutations(range(1, d * d + 1)):
-                assert biperm_to_flat(biperm_from_flat(p, d)).image == p
+                assert biperm_to_flat(biperm_from_flat(p, d)) == p
 
     def test_roundtrip_exhaustive_d3(self):
         for p in itertools.permutations(range(1, 10)):
-            assert biperm_to_flat(biperm_from_flat(p, 3)).image == p
+            assert biperm_to_flat(biperm_from_flat(p, 3)) == p
 
     def test_roundtrip_random_to_d8(self, rng):
         for d in range(2, 9):
             for _ in range(20):
                 image = tuple(int(v) + 1 for v in rng.permutation(d * d))
-                assert biperm_to_flat(biperm_from_flat(image, d)).image == image
+                assert biperm_to_flat(biperm_from_flat(image, d)) == image
 
 
 class TestBasicPerms:
@@ -123,14 +121,14 @@ class TestDetectNonEntangling:
     def test_identity_witness(self):
         w = detect_non_entangling(identity_perm(3))
         assert w.kind is WitnessKind.IDENTITY_LIKE
-        assert w.p_a.image == (1, 2, 3)
-        assert w.p_b.image == (1, 2, 3)
+        assert w.p_a == (1, 2, 3)
+        assert w.p_b == (1, 2, 3)
 
     def test_swap_witness(self):
         w = detect_non_entangling(swap_perm(3))
         assert w.kind is WitnessKind.SWAP_LIKE
-        assert w.p_a.image == (1, 2, 3)
-        assert w.p_b.image == (1, 2, 3)
+        assert w.p_a == (1, 2, 3)
+        assert w.p_b == (1, 2, 3)
 
     def test_cnot_entangles(self):
         assert detect_non_entangling(biperm_from_flat((1, 2, 4, 3), 2)) is None
@@ -168,7 +166,7 @@ class TestEnumeration:
         perms = list(enumerate_perms(2))
         assert len(perms) == 24
         assert perms[0] == identity_perm(2)
-        flats = [biperm_to_flat(p).image for p in perms]
+        flats = [biperm_to_flat(p) for p in perms]
         assert flats == sorted(flats)
 
     def test_d3_count(self):
@@ -187,17 +185,21 @@ class TestEnumeration:
         mid = list(enumerate_perms(2, 5, 9))
         assert mid == whole[5:9]
 
-    def test_unrank_matches_iteration(self):
-        seq = list(itertools.permutations(range(1, 5)))
-        for r in (0, 1, 7, 23):
-            assert unrank_flat(4, r) == seq[r]
+    def test_range_crosses_stratum(self):
+        # stratum s of d = 3 holds the ranks [s, s + 1) * 8!
+        lo, hi = 3 * 40320 - 50, 3 * 40320 + 70
+        want = itertools.islice(itertools.permutations(range(1, 10)), lo, hi)
+        assert list(enumerate_perms(3, lo, hi)) == [biperm_from_flat(p, 3) for p in want]
 
-    def test_next_flat(self):
-        image = [1, 2, 3]
-        seen = [tuple(image)]
-        while next_flat_inplace(image):
-            seen.append(tuple(image))
-        assert seen == list(itertools.permutations((1, 2, 3)))
+    def test_d4_crosses_block(self):
+        # d = 4 blocks hold the 8! permutations sharing an 8-symbol prefix
+        count = 40320 + 100
+        got = itertools.islice(enumerate_perms(4, allow_large=True), count)
+        want = itertools.islice(itertools.permutations(range(1, 17)), count)
+        assert list(got) == [biperm_from_flat(p, 4) for p in want]
+        mid = enumerate_perms(4, 40317, 40323, allow_large=True)
+        want = itertools.islice(itertools.permutations(range(1, 17)), 40317, 40323)
+        assert list(mid) == [biperm_from_flat(p, 4) for p in want]
 
 
 class TestRandomPerm:
@@ -218,7 +220,7 @@ class TestRandomPerm:
         gen = np.random.default_rng(42)
         counts = {}
         for _ in range(n):
-            key = biperm_to_flat(random_perm(2, gen)).image
+            key = biperm_to_flat(random_perm(2, gen))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 24
         expected = n / 24
