@@ -5,6 +5,11 @@ Superimposing an orthogonal pair (K, L) of side d gives a grid permutation
 maximum any unitary of that size can reach.  Orthogonal pairs exist for
 every side except 2 and 6; side 6 instead gets an explicit embedded
 permutation that is optimal among permutations.
+
+`construct_mols` builds a pair for every side d >= 3 with d % 4 != 2:
+cyclic squares for odd sides, GF(2^k) squares for powers of two, and
+direct products for the rest.  The other sides congruent to 2 mod 4
+(10, 14, ...) have pairs too, but are only accepted from a pair file.
 """
 
 from __future__ import annotations
@@ -110,51 +115,6 @@ def superimpose(
 
 # --- constructions -----------------------------------------------------------
 
-# Irreducible polynomials over GF(p), low-order coefficients first, one per
-# prime power order up to 16.
-_IRREDUCIBLE = {
-    4: (2, (1, 1, 1)),        # x^2 + x + 1 over GF(2)
-    8: (2, (1, 1, 0, 1)),     # x^3 + x + 1
-    9: (3, (1, 0, 1)),        # x^2 + 1 over GF(3)
-    16: (2, (1, 1, 0, 0, 1)), # x^4 + x + 1
-}
-
-
-def _gf_tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Addition and multiplication tables for GF(q), elements 0..q-1.
-
-    Elements are base-p digit strings of polynomial coefficients; products
-    are reduced modulo the shipped irreducible polynomial.
-    """
-    p, poly = _IRREDUCIBLE[q]
-    k = len(poly) - 1
-
-    def digits(a: int) -> list[int]:
-        return [(a // p**i) % p for i in range(k)]
-
-    def undigits(ds: Sequence[int]) -> int:
-        return sum(int(c) % p * p**i for i, c in enumerate(ds))
-
-    add = [
-        [undigits([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)]
-        for a in range(q)
-    ]
-    mul = [[0] * q for _ in range(q)]
-    for a in range(q):
-        for b in range(q):
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(digits(a)):
-                for j, y in enumerate(digits(b)):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-            for top in range(2 * k - 2, k - 1, -1):
-                c = prod[top]
-                if c:
-                    prod[top] = 0
-                    for i in range(k):
-                        prod[top - k + i] = (prod[top - k + i] - c * poly[i]) % p
-            mul[a][b] = undigits(prod[:k])
-    return add, mul
-
 
 def _cyclic_pair(d: int) -> tuple[LatinSquare, LatinSquare]:
     """Odd d: rows i+j and i+2j modulo d (0-based), shifted to [d]."""
@@ -163,29 +123,48 @@ def _cyclic_pair(d: int) -> tuple[LatinSquare, LatinSquare]:
     return LatinSquare._trusted(a), LatinSquare._trusted(b)
 
 
+def _gf2_modulus(k: int) -> int:
+    """Smallest irreducible polynomial of degree k over GF(2), as a bit mask.
+
+    Found by trial division by every polynomial of degree 1 to k // 2:
+    x^2+x+1, x^3+x+1 and x^4+x+1 for k = 2, 3, 4.
+    """
+
+    def rem(a: int, b: int) -> int:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        return a
+
+    return next(
+        poly
+        for poly in range(1 << k, 1 << (k + 1))
+        if all(rem(poly, f) for f in range(2, 1 << (k // 2 + 1)))
+    )
+
+
 def _field_pair(q: int) -> tuple[LatinSquare, LatinSquare]:
-    """Prime power q: rows a*i + j over GF(q) with multipliers a = 1, 2."""
-    add, mul = _gf_tables(q)
-    # any two distinct nonzero multipliers give an orthogonal pair
-    m1, m2 = 1, 2
+    """Power of two q = 2^k: rows i + j and x*i + j over GF(q).
 
-    def square(m: int) -> LatinSquare:
-        cells = tuple(
-            tuple(add[mul[m][i]][j] + 1 for j in range(q)) for i in range(q)
-        )
-        return LatinSquare._trusted(cells)
-
-    return square(m1), square(m2)
+    Elements are k-bit masks of polynomial coefficients, so addition is
+    XOR, and x*i is a shift reduced by XOR with the modulus.  The two
+    multipliers 1 and x are distinct and nonzero, which makes the squares
+    orthogonal.
+    """
+    poly = _gf2_modulus(q.bit_length() - 1)
+    x_times = [(i << 1) ^ (poly if i << 1 >= q else 0) for i in range(q)]
+    a = tuple(tuple((i ^ j) + 1 for j in range(q)) for i in range(q))
+    b = tuple(tuple((x_times[i] ^ j) + 1 for j in range(q)) for i in range(q))
+    return LatinSquare._trusted(a), LatinSquare._trusted(b)
 
 
 def _product_pair(
-    a1: LatinSquare, b1: LatinSquare, a2: LatinSquare, b2: LatinSquare
+    outer: OrthogonalPair, inner: OrthogonalPair
 ) -> tuple[LatinSquare, LatinSquare]:
     """Direct product of orthogonal pairs of sides m and n, side m*n result.
 
     Cells combine in (m, n) mixed radix: ((x1-1)*n + (x2-1)) + 1.
     """
-    m, n = a1.d, a2.d
+    m, n = outer.d, inner.d
 
     def combine(first: LatinSquare, second: LatinSquare) -> LatinSquare:
         cells = tuple(
@@ -199,79 +178,60 @@ def _product_pair(
         )
         return LatinSquare._trusted(cells)
 
-    return combine(a1, a2), combine(b1, b2)
-
-
-def _is_prime_power(d: int) -> bool:
-    for p in range(2, d + 1):
-        if d % p == 0:
-            while d % p == 0:
-                d //= p
-            return d == 1
-    return False
+    return combine(outer.first, inner.first), combine(outer.second, inner.second)
 
 
 def mols_supported(d: int) -> bool:
-    """True when construct_mols can build a pair for side d."""
-    if d < 3 or d == 6:
-        return False
-    if d % 2 == 1:
-        return True
-    if _is_prime_power(d):
-        return d in _IRREDUCIBLE
-    # composite even d: need a factorization with both factors supported
-    return any(
-        d % m == 0 and mols_supported(m) and mols_supported(d // m)
-        for m in range(3, int(math.isqrt(d)) + 1)
-    )
+    """True when construct_mols can build a pair for side d.
+
+    That is every side of at least 3 that is not 2 mod 4: odd sides,
+    powers of two, and products of one of each.
+    """
+    return d >= 3 and d % 4 != 2
 
 
 def construct_mols(d: int, table_file: str | Path | None = None) -> OrthogonalPair:
     """Build an orthogonal pair of side d.
 
-    Strategy: odd d uses the cyclic rows i+j and i+2j; even prime powers
-    use two multiplier squares over GF(d); other composites use the direct
-    product of supported factors.  Sides 2 and 6 have no orthogonal pair at
-    all; other sides congruent to 2 mod 4 exist but need the
-    Bose-Shrikhande-Parker construction, which this module does not build.
-    For those, a pair file (see `parse_pair_file`) can be supplied and is
-    validated before use.
+    Strategy: odd d uses the cyclic rows i+j and i+2j; powers of two use
+    the multipliers 1 and x over GF(2^k); every other side of the form
+    4t uses the direct product for the smallest factor m >= 3 for which
+    both m and d/m are supported.  Sides 2 and 6 have no orthogonal pair
+    at all; the other sides congruent to 2 mod 4 have pairs, but they need
+    the Bose-Shrikhande-Parker construction, which this module does not
+    build.  For those, a pair file (see `parse_pair_file`) can be supplied
+    and is validated before use.
     """
     if table_file is not None:
         pair = parse_pair_file(Path(table_file).read_text())
         if pair.d != d:
             raise UnsupportedOrder(f"pair file has side {pair.d}, requested {d}")
         return pair
-    if d == 2:
-        raise UnsupportedOrder("no orthogonal Latin squares of side 2 exist")
-    if d == 6:
+    if not mols_supported(d):
+        if d == 2:
+            raise UnsupportedOrder("no orthogonal Latin squares of side 2 exist")
+        if d == 6:
+            raise UnsupportedOrder(
+                "no orthogonal Latin squares of side 6 exist (the Euler order, "
+                "settled by Tarry)"
+            )
+        if d < 3:
+            raise UnsupportedOrder(f"side {d} too small")
         raise UnsupportedOrder(
-            "no orthogonal Latin squares of side 6 exist (the Euler order, "
-            "settled by Tarry)"
+            f"side {d} is 2 mod 4: pairs exist (Bose-Shrikhande-Parker) but "
+            "are not constructed here; supply a validated pair file"
         )
-    if d < 3:
-        raise UnsupportedOrder(f"side {d} too small")
     if d % 2 == 1:
         first, second = _cyclic_pair(d)
-    elif _is_prime_power(d):
-        if d not in _IRREDUCIBLE:
-            raise UnsupportedOrder(
-                f"no shipped irreducible polynomial for GF({d}); supported even "
-                f"prime powers: {sorted(q for q in _IRREDUCIBLE if q % 2 == 0)}"
-            )
+    elif d & (d - 1) == 0:
         first, second = _field_pair(d)
     else:
-        for m in range(3, int(math.isqrt(d)) + 1):
-            if d % m == 0 and mols_supported(m) and mols_supported(d // m):
-                p1 = construct_mols(m)
-                p2 = construct_mols(d // m)
-                first, second = _product_pair(p1.first, p1.second, p2.first, p2.second)
-                break
-        else:
-            raise UnsupportedOrder(
-                f"side {d} is 2 mod 4: pairs exist (Bose-Shrikhande-Parker) but "
-                "are not constructed here; supply a validated pair file"
-            )
+        m = next(
+            m
+            for m in range(3, math.isqrt(d) + 1)
+            if d % m == 0 and mols_supported(m) and mols_supported(d // m)
+        )
+        first, second = _product_pair(construct_mols(m), construct_mols(d // m))
     return OrthogonalPair(first, second)
 
 

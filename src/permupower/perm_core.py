@@ -220,34 +220,46 @@ def _lex_table(r: int) -> np.ndarray:
     return table
 
 
+def _lex_prefix(n: int, length: int, rank: int) -> tuple[list[int], list[int]]:
+    """The arrangement of `length` symbols of range(n) with lexicographic rank
+    `rank`, and the symbols it leaves, sorted.
+
+    Position t's digit counts the perm(n-1-t, length-1-t) completions of
+    each smaller choice there.
+    """
+    rest = list(range(n))
+    prefix = []
+    for t in range(length):
+        digit, rank = divmod(rank, math.perm(n - 1 - t, length - 1 - t))
+        prefix.append(rest.pop(digit))
+    return prefix, rest
+
+
 def lex_blocks(n: int, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
     """Permutations of range(n) with lexicographic ranks in [start, stop).
 
     Yields int32 blocks of 0-based images, one permutation per row, in
     rank order.  A full block holds the r! permutations that share their
     first n - r symbols, for the largest r with r! * n <= BLOCK_CELLS:
-    the prefixes come from `itertools.permutations` in order, and the last
-    r positions index the sorted remaining symbols with the cached
-    lexicographic table of range(r).
+    each block's prefix is unranked directly, and the last r positions
+    index the remaining symbols with the cached lexicographic table of
+    range(r).
     """
     r = 1
     while r < n and math.factorial(r + 1) * n <= BLOCK_CELLS:
         r += 1
     size = math.factorial(r)
-    stop = math.factorial(n) if stop is None else stop
+    total = math.factorial(n)
+    stop = total if stop is None else min(stop, total)
     if start >= stop:
         return
     table = _lex_table(r)
-    first = start // size
-    prefixes = itertools.islice(
-        itertools.permutations(range(n), n - r), first, -(-stop // size)
-    )
-    for b, prefix in enumerate(prefixes, start=first):
+    for b in range(start // size, -(-stop // size)):
+        prefix, rest = _lex_prefix(n, n - r, b)
         rows = table[max(start - b * size, 0) : stop - b * size]
-        rest = np.array(sorted(set(range(n)).difference(prefix)), dtype=np.int32)
         block = np.empty((rows.shape[0], n), dtype=np.int32)
         block[:, : n - r] = prefix
-        block[:, n - r :] = rest[rows]
+        block[:, n - r :] = np.array(rest, dtype=np.int32)[rows]
         yield block
 
 

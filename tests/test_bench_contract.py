@@ -1,0 +1,82 @@
+"""What the benchmark's tracer needs from the package.
+
+`bench/tracing.py` replaces each `(module, attribute)` in its `TARGETS`
+with a wrapper that records a span, and derives its per-layer metrics
+from the span names a workload's CLI calls leave behind.  A renamed
+function, or a call path that stops going through a wrapped module
+global, makes the traced run crash.  These tests run small versions of
+the benchmark's calls under the tracer; they read `bench/` and never
+change it.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from permupower import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# (argv, span names that layer_metrics reads from such a call); every call
+# passes --workers and --seed, as the benchmark's calls do
+CALLS = {
+    "power-builtin": (
+        ["power", "--builtin", "mols:5"],
+        {"cli.main", "catalog.builtin_perm", "latin.construct_mols",
+         "latin.superimpose", "entangle.entangling_power", "entangle.q_of"},
+    ),
+    "power-file": (
+        ["power", "--file", "{perm}"],
+        {"cli.main", "perm_core.parse_biperm", "entangle.entangling_power",
+         "entangle.q_of"},
+    ),
+    "formula-vs-oracle": (
+        ["verify", "formula-vs-oracle", "--d", "3", "--samples", "2"],
+        {"cli.main", "entangle.entangling_power", "perm_core.random_perm",
+         "oracle.unitary_of", "oracle.oracle_power", "entangle.q_of"},
+    ),
+    "mc-vs-formula": (
+        ["verify", "mc-vs-formula", "--d", "2", "--samples", "200"],
+        {"cli.main", "oracle.mc_power"},
+    ),
+    "exhaustive": (
+        ["classify", "--d", "2", "--exhaustive", "--out", "{out}"],
+        {"cli.main", "classify.classify_exhaustive", "classify.unit",
+         "entangle.q_totals_batch"},
+    ),
+    "sampled": (
+        ["classify", "--d", "3", "--samples", "50", "--out", "{out}"],
+        {"cli.main", "classify.classify_sampled", "classify.unit",
+         "entangle.q_totals_batch"},
+    ),
+}
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracing")
+
+
+def test_targets_resolve(tracing):
+    for module, attr, _, _ in tracing.TARGETS:
+        fn = getattr(importlib.import_module(f"permupower.{module}"), attr, None)
+        assert callable(fn), f"permupower.{module}.{attr}"
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_traced_spans(tracing, name, tmp_path, capsys):
+    argv, want = CALLS[name]
+    perm = tmp_path / "perm.txt"
+    perm.write_text("d=3\n2 9 4 7 5 3 6 1 8\n")
+    out = tmp_path / "out.json"
+    argv = [a.format(perm=perm, out=out) for a in argv] + ["--workers", "1", "--seed", "7"]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        code = cli.main(argv)
+    capsys.readouterr()
+    assert code == 0
+    seen = {span.name for span in tracer.spans}
+    assert want <= seen, sorted(want - seen)
+    assert all(span.size > 0 for span in tracer.spans if span.name == "oracle.mc_power")

@@ -168,6 +168,10 @@ class TestVerify:
         code, out, _ = run(["verify", "theorem4", "--d", "5"], capsys)
         assert code == 0 and "[pass]" in out
 
+    def test_theorem4_power_of_two(self, capsys):
+        code, out, _ = run(["verify", "theorem4", "--d", "32"], capsys)
+        assert code == 0 and "all checks passed" in out
+
     def test_tables_d2(self, capsys):
         code, out, _ = run(["verify", "tables", "--d", "2"], capsys)
         assert code == 0

@@ -23,14 +23,17 @@ from permupower import (
     special_d6_perm,
     superimpose,
 )
+from permupower.entangle import q_totals_batch
 from permupower.latin import (
     D6_NEAR_ORTHOGONAL,
+    _gf2_modulus,
     format_latin_square,
     format_pair,
     mols_supported,
     parse_latin_square,
     parse_pair_file,
 )
+from permupower.perm_core import biperm_to_flat
 
 R9_K = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 R9_L = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
@@ -112,6 +115,31 @@ class TestConstructMols:
     @pytest.mark.parametrize("d", [2, 6, 10])
     def test_unsupported_set(self, d):
         assert not mols_supported(d)
+
+    def test_support_rule(self):
+        # every side of at least 3 that is not 2 mod 4 is built
+        for d in range(1, 216):
+            supported = d >= 3 and d % 4 != 2
+            assert mols_supported(d) == supported, d
+            if supported:
+                assert construct_mols(d).d == d
+            else:
+                with pytest.raises(UnsupportedOrder):
+                    construct_mols(d)
+
+    def test_gf2_modulus(self):
+        # x^2+x+1, x^3+x+1, x^4+x+1, then x^5+x^2+1, x^6+x+1, x^7+x+1
+        assert [_gf2_modulus(k) for k in range(2, 8)] == [
+            0b111, 0b1011, 0b10011, 0b100101, 0b1000011, 0b10000011
+        ]
+
+    @pytest.mark.parametrize("d", [32, 64, 128])
+    def test_large_field_pairs(self, d):
+        pair = construct_mols(d)
+        assert is_latin(pair.first.cells) and is_latin(pair.second.cells)
+        assert are_orthogonal(pair.first, pair.second)
+        flat = np.array([biperm_to_flat(superimpose(pair))], dtype=np.int32) - 1
+        assert q_totals_batch(flat, d).tolist() == [2 * d * d]
 
     def test_table_file_load(self, tmp_path):
         path = tmp_path / "pair7.txt"

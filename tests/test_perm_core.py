@@ -201,6 +201,30 @@ class TestEnumeration:
         want = itertools.islice(itertools.permutations(range(1, 17)), 40317, 40323)
         assert list(mid) == [biperm_from_flat(p, 4) for p in want]
 
+    def test_d4_last_ranks(self):
+        # the last three of 16! permutations end in 2 3 1, 3 1 2, 3 2 1
+        total = math.factorial(16)
+        head = tuple(range(16, 3, -1))
+        want = [head + (2, 3, 1), head + (3, 1, 2), head + (3, 2, 1)]
+        got = enumerate_perms(4, total - 3, total, allow_large=True)
+        assert list(got) == [biperm_from_flat(p, 4) for p in want]
+
+    def test_d5_late_range(self):
+        # the last 8! ranks of 25! share the prefix 25 ... 9; the rank before
+        # them ends the block with prefix 25 ... 10 8
+        total = math.factorial(25)
+        lo = total - 40320
+        want = [
+            tuple(range(25, 9, -1)) + (8, 9, 7, 6, 5, 4, 3, 2, 1),
+            tuple(range(25, 8, -1)) + (1, 2, 3, 4, 5, 6, 7, 8),
+            tuple(range(25, 8, -1)) + (1, 2, 3, 4, 5, 6, 8, 7),
+        ]
+        got = enumerate_perms(5, lo - 1, lo + 2, allow_large=True)
+        assert list(got) == [biperm_from_flat(p, 5) for p in want]
+        last = enumerate_perms(5, total - 2, total, allow_large=True)
+        want = [tuple(range(25, 3, -1)) + (3, 1, 2), tuple(range(25, 0, -1))]
+        assert list(last) == [biperm_from_flat(p, 5) for p in want]
+
 
 class TestRandomPerm:
     def test_deterministic(self):
