@@ -19,8 +19,10 @@ with d^2 <= Q <= d^4 and Q == d^2 (mod 2), so eps is carried as a
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,26 +47,50 @@ def _check_dimension(d: int) -> None:
 
 
 def q_of(perm: BiPerm) -> int:
-    """Preserved-rectangle count Q_P, via an O(d^3) regrouping.
+    """Preserved-rectangle count Q_P, visiting only the row pairs that agree on l.
 
-    For each row pair (i, j), columns are grouped by the key
-    (k_im, k_jm); within a group, columns m with l_im == l_jm contribute
-    pairwise, so the group adds (count)^2.  Summing group squares over all
-    row pairs equals the naive quadruple sum.
+    Grouping the quadruple sum by the row pair (i, j) gives
+
+        Q_P = sum_i sum_kappa r_ikappa^2 + 2 sum_{i<j} sum_kappa c_ijkappa^2,
+
+    with r_ikappa = #{m : k_im = kappa} (the pairs i == j, where l always
+    agrees) and c_ijkappa = #{m : l_im = l_jm, (k_im, k_jm) = kappa}.  Each
+    column's rows are grouped by their l value, so row i finds its
+    partners j > i in column m without testing the others, and one counter
+    per row holds the keys (j, k_im, k_jm).  Time is O(d^2 + M) for the M
+    triples (i < j, m) with l_im == l_jm: M is 0 for a Latin L and d^3/2
+    when every column has a single l value.  Memory is O(d^2) on any input,
+    since the counter is dropped after each row.
     """
     _check_dimension(perm.d)
     d, k, l = perm.d, perm.k, perm.l
+    base = d + 1
+    span = d * base  # codes j * base + k_jm lie below it
+    # Per column: the codes of its rows in (l_jm, j) order; at[j], the slot
+    # after row j's code; ends[v], the slot after the rows with l_jm <= v.
+    # Row i's partners in that column are codes[at[i] : ends[l_im]].  The
+    # slot tables hold ints up to d <= 256, which CPython caches, so only
+    # the codes cost an object per cell.
+    columns = []
+    for km, lm in zip(zip(*k), zip(*l)):
+        rows = sorted(range(d), key=lm.__getitem__)
+        at = [0] * d
+        for slot, j in enumerate(rows, 1):
+            at[j] = slot
+        ends = [0] * (d + 1)
+        for v in lm:
+            ends[v] += 1
+        columns.append(([j * base + km[j] for j in rows], at, list(accumulate(ends))))
     q = 0
     for i in range(d):
-        ki, li = k[i], l[i]
-        for j in range(d):
-            kj, lj = k[j], l[j]
-            counts: dict[int, int] = {}
-            for m in range(d):
-                if li[m] == lj[m]:
-                    key = ki[m] * (d + 1) + kj[m]
-                    counts[key] = counts.get(key, 0) + 1
-            q += sum(c * c for c in counts.values())
+        ki = k[i]
+        q += sum(c * c for c in Counter(ki).values())
+        keys: list[int] = []
+        for (codes, at, ends), kv, lv in zip(columns, ki, l[i]):
+            lo, hi = at[i], ends[lv]
+            if lo < hi:
+                keys.extend(map((kv * span).__add__, codes[lo:hi]))
+        q += 2 * sum(c * c for c in Counter(keys).values())
     return q
 
 

@@ -294,10 +294,17 @@ def enumerate_perms(
             f"d = {d} means {d * d}! permutations; pass allow_large to override"
         )
     for block in lex_blocks(d * d, start, stop):
-        ks = (block // d + 1).reshape(-1, d, d).tolist()
-        ls = (block % d + 1).reshape(-1, d, d).tolist()
+        # Rows of K and L repeat across a block: key each by its bytes (a
+        # byte holds every value up to the dimension cap, with no overflow at
+        # any d) and build one tuple per distinct row, shared by every BiPerm
+        rows = np.concatenate([block // d, block % d]).astype(np.uint8) + 1
+        keys = rows.reshape(-1, d).view(np.dtype((np.void, d))).ravel()
+        distinct, index = np.unique(keys, return_inverse=True)
+        shared = list(map(tuple, distinct.view(np.uint8).reshape(-1, d).tolist()))
+        row_of = shared.__getitem__
+        ks, ls = index.reshape(2, -1, d).tolist()
         for k, l in zip(ks, ls):
-            yield BiPerm._trusted(d, tuple(map(tuple, k)), tuple(map(tuple, l)))
+            yield BiPerm._trusted(d, tuple(map(row_of, k)), tuple(map(row_of, l)))
 
 
 def random_perm(d: int, rng: np.random.Generator) -> BiPerm:

@@ -65,9 +65,9 @@ def test_targets_resolve(tracing):
         assert callable(fn), f"permupower.{module}.{attr}"
 
 
-@pytest.mark.parametrize("name", CALLS)
-def test_traced_spans(tracing, name, tmp_path, capsys):
-    argv, want = CALLS[name]
+def traced_call(tracing, name, tmp_path, capsys):
+    """Run CALLS[name] under a fresh tracer; return the tracer."""
+    argv, _ = CALLS[name]
     perm = tmp_path / "perm.txt"
     perm.write_text("d=3\n2 9 4 7 5 3 6 1 8\n")
     out = tmp_path / "out.json"
@@ -77,6 +77,27 @@ def test_traced_spans(tracing, name, tmp_path, capsys):
         code = cli.main(argv)
     capsys.readouterr()
     assert code == 0
+    return tracer
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_traced_spans(tracing, name, tmp_path, capsys):
+    _, want = CALLS[name]
+    tracer = traced_call(tracing, name, tmp_path, capsys)
     seen = {span.name for span in tracer.spans}
     assert want <= seen, sorted(want - seen)
     assert all(span.size > 0 for span in tracer.spans if span.name == "oracle.mc_power")
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, (_, want) in CALLS.items() if "entangle.entangling_power" in want]
+)
+def test_power_calls_q_of_twice(tracing, name, tmp_path, capsys):
+    # entangle.q_of_calls.* counts q_of spans: each entangling_power makes
+    # exactly two, one for P and one for PS, through the module global
+    spans = traced_call(tracing, name, tmp_path, capsys).spans
+    powers = [i for i, span in enumerate(spans) if span.name == "entangle.entangling_power"]
+    assert powers
+    for i in powers:
+        children = [span.name for span in spans if span.parent == i]
+        assert children == ["entangle.q_of", "entangle.q_of"]

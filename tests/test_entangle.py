@@ -1,6 +1,7 @@
 """Rectangle counting and the exact power formula."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permupower import (
+    BiPerm,
     DegenerateDimension,
     DimensionTooLarge,
     IndexOutOfRange,
@@ -27,10 +29,11 @@ from permupower import (
     rectangle_flags,
     superimpose,
     swap_perm,
+    NonEntanglingWitness,
     WitnessKind,
 )
 from permupower import entangle
-from permupower.catalog import cnot_perm, r9_perm
+from permupower.catalog import builtin_perm, cnot_perm, r9_perm
 from permupower.entangle import q_totals_batch
 
 from conftest import random_biperms
@@ -48,12 +51,60 @@ def scalar_totals(perms) -> list[int]:
     return [q_of(perm) + q_of(compose_with_swap(perm)) for perm in perms]
 
 
+def distinct_keys_perm(d: int, seed: int) -> BiPerm:
+    """l_im = m, and column m of K a random permutation of the rows.
+
+    Every row pair agrees on l in every column, and almost all of the
+    d^3/2 keys (j, k_im, k_jm) of the rows i < j are distinct, so a
+    single counter over the whole scan would hold about d^3/2 keys.
+    """
+    gen = np.random.default_rng(seed)
+    cols = [gen.permutation(d) + 1 for _ in range(d)]
+    k = [[int(cols[m][i]) for m in range(d)] for i in range(d)]
+    return BiPerm(k, [range(1, d + 1)] * d)
+
+
+def local_perm(d: int, seed: int, kind: WitnessKind) -> BiPerm:
+    """A random identity-like or swap-like permutation."""
+    gen = np.random.default_rng(seed)
+    p_a, p_b = (tuple(int(v) + 1 for v in gen.permutation(d)) for _ in range(2))
+    return NonEntanglingWitness(kind, p_a, p_b).reconstruct(d)
+
+
+def relabel(perm: BiPerm, rows=None, cols=None, ks=None, ls=None) -> BiPerm:
+    """P'(i, j) = (ks(k), ls(l)) for (k, l) = P(rows(i), cols(j)).
+
+    Each relabelling is a 0-based permutation of range(d), or None for
+    the identity.
+    """
+    d = perm.d
+    ident = list(range(d))
+    rows, cols, ks, ls = (ident if x is None else x for x in (rows, cols, ks, ls))
+    k = [[ks[perm.k[rows[i]][cols[j]] - 1] + 1 for j in range(d)] for i in range(d)]
+    l = [[ls[perm.l[rows[i]][cols[j]] - 1] + 1 for j in range(d)] for i in range(d)]
+    return BiPerm(k, l)
+
+
+def exchange_outputs(perm: BiPerm) -> BiPerm:
+    """Left-compose with the factor exchange: (k, l) -> (l, k)."""
+    return BiPerm(perm.l, perm.k)
+
+
 @st.composite
 def batches(draw):
     """A dimension 2..7 and one to four 0-based flat permutations of it."""
     d = draw(st.integers(min_value=2, max_value=7))
     cells = list(range(d * d))
     return d, draw(st.lists(st.permutations(cells), min_size=1, max_size=4))
+
+
+@st.composite
+def relabelled(draw, max_d: int):
+    """A permutation of side 2..max_d and four relabellings of range(d)."""
+    d = draw(st.integers(min_value=2, max_value=max_d))
+    image = draw(st.permutations(range(1, d * d + 1)))
+    maps = [draw(st.permutations(range(d))) for _ in range(4)]
+    return biperm_from_flat(image, d), maps
 
 
 class TestQOf:
@@ -74,6 +125,40 @@ class TestQOf:
         for d in range(2, 7):
             for perm in random_biperms(100 + d, d, 200):
                 assert q_of(perm) == q_of_naive(perm)
+
+    def test_distinct_keys_equals_naive(self):
+        for d in range(2, 8):
+            for seed in range(5):
+                perm = distinct_keys_perm(d, 40 * d + seed)
+                for p in (perm, compose_with_swap(perm)):
+                    assert q_of(p) == q_of_naive(p)
+
+    def test_memory_bounded(self):
+        # about 500k distinct keys at d = 100: one counter for the whole
+        # scan peaks near 40 MiB, one counter per row near 1.4 MiB
+        perm = distinct_keys_perm(100, 1)
+        tracemalloc.start()
+        try:
+            q_of(perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_closed_forms_at_cap(self):
+        d = 215
+        assert q_of(identity_perm(d)) == d**4
+        mols = builtin_perm(f"mols:{d}")
+        assert q_of(mols) == q_of(compose_with_swap(mols)) == d * d
+
+    @pytest.mark.parametrize("d", [20, 40, 60])
+    def test_equals_batch_larger_d(self, d):
+        perms = random_biperms(600 + d, d, 3) + [
+            local_perm(d, d, WitnessKind.IDENTITY_LIKE),
+            local_perm(d, d + 1, WitnessKind.SWAP_LIKE),
+            distinct_keys_perm(d, d),
+        ]
+        assert q_totals_batch(flat_batch(perms), d).tolist() == scalar_totals(perms)
 
     def test_batch_equals_scalar(self):
         for d in (2, 3, 4):
@@ -193,6 +278,40 @@ class TestEntanglingPower:
             "epsilon": {"num": 4, "den": 9},
             "epsilon_float": 4 / 9,
         }
+
+
+class TestInvariance:
+    """Q_P and Q_PS under the relabellings of the four factors and the two exchanges."""
+
+    @pytest.mark.parametrize("which", ["rows", "cols", "ks", "ls"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=relabelled(12))
+    def test_relabelling_keeps_each_q(self, which, case):
+        perm, maps = case
+        other = relabel(perm, **{which: maps[0]})
+        assert q_of(other) == q_of(perm)
+        assert q_of(compose_with_swap(other)) == q_of(compose_with_swap(perm))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=relabelled(12))
+    def test_exchanges_swap_the_qs(self, case):
+        perm, _ = case
+        q_p, q_ps = q_of(perm), q_of(compose_with_swap(perm))
+        for other in (exchange_outputs(perm), compose_with_swap(perm)):
+            assert (q_of(other), q_of(compose_with_swap(other))) == (q_ps, q_p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=relabelled(6), swap_in=st.booleans(), swap_out=st.booleans())
+    def test_epsilon_invariant_under_local_group(self, case, swap_in, swap_out):
+        # relabellings (d!^4) and the two exchanges (4) form a group of
+        # order 4 (d!)^4 that leaves eps unchanged
+        perm, maps = case
+        other = relabel(perm, *maps)
+        if swap_in:
+            other = compose_with_swap(other)
+        if swap_out:
+            other = exchange_outputs(other)
+        assert entangling_power(other).epsilon == entangling_power(perm).epsilon
 
 
 class TestRectangleFlags:
