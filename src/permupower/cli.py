@@ -16,7 +16,9 @@ Exit codes:
      or `classify --samples` with `--checkpoint-dir` or `--force`; a
      `--format` the command does not write)
   3  unsupported Latin square order
-  4  enumeration budget exceeded (`classify --force` overrides it)
+  4  budget exceeded: the exhaustive enumeration budget (`classify --force`
+     overrides it), or the dense oracle's cap of d <= 12 on
+     `verify formula-vs-oracle` and `verify mc-vs-formula`
   5  verification failure
 Every error exit prints one `error:` line to stderr.
 """
@@ -55,7 +57,7 @@ from .latin import (
     is_latin,
     superimpose,
 )
-from .oracle import mc_power, oracle_power, unitary_of
+from .oracle import check_oracle_dimension, mc_power, oracle_power, unitary_of
 from .perm_core import format_biperm, parse_biperm, random_perm
 
 # Fixed default seed: bare invocations are reproducible by construction.
@@ -319,6 +321,7 @@ def _check(label: str, ok: bool, expected, actual) -> None:
 
 def _verify_formula_vs_oracle(args: argparse.Namespace) -> None:
     d = args.d or 3
+    check_oracle_dimension(d)
     samples = args.samples or 100
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -349,9 +352,10 @@ def _mc_within(perm, label: str, samples: int, seed: int) -> None:
 
 def _verify_mc_vs_formula(args: argparse.Namespace) -> None:
     samples = args.samples or 100_000
+    d = args.d or 3
+    check_oracle_dimension(d)
     _mc_within(builtin_perm("cnot"), "cnot", samples, args.seed)
     _mc_within(builtin_perm("r9"), "r9", samples, args.seed + 101)
-    d = args.d or 3
     rng = np.random.default_rng(args.seed)
     for idx in range(3):
         perm = random_perm(d, rng)

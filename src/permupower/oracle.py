@@ -47,14 +47,19 @@ _CUT_NAMES = {
 }
 
 
+def check_oracle_dimension(d: int) -> None:
+    """Raise BudgetExceeded if d is above the dense oracle's cap."""
+    if d > ORACLE_MAX_D:
+        raise BudgetExceeded(f"dense oracle capped at d <= {ORACLE_MAX_D}")
+
+
 class Unitary:
     """A unitary on the d x d bipartite space, stored as a dense matrix."""
 
     __slots__ = ("d", "matrix")
 
     def __init__(self, d: int, matrix: np.ndarray):
-        if d > ORACLE_MAX_D:
-            raise BudgetExceeded(f"dense oracle capped at d <= {ORACLE_MAX_D}")
+        check_oracle_dimension(d)
         matrix = np.asarray(matrix, dtype=complex)
         n = d * d
         if matrix.shape != (n, n):
@@ -65,6 +70,15 @@ class Unitary:
         self.d = d
         self.matrix = matrix.copy()
         self.matrix.setflags(write=False)
+
+    @classmethod
+    def _trusted(cls, d: int, matrix: np.ndarray) -> "Unitary":
+        """Construct without the Gram check (internal, for permutation matrices)."""
+        obj = object.__new__(cls)
+        obj.d = d
+        obj.matrix = matrix
+        matrix.setflags(write=False)
+        return obj
 
 
 class PureState:
@@ -110,25 +124,38 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.entries) ** 2).real)
 
 
-def unitary_of(perm: BiPerm) -> Unitary:
-    """Permutation matrix of a grid permutation (column = input cell)."""
-    d = perm.d
+def _permutation_unitary(d: int, rows: np.ndarray) -> Unitary:
+    """The 0/1 matrix with a 1 at (rows[c], c) for every column c.
+
+    Unitary exactly when every row is hit once, which an O(n) count checks
+    in place of the floating-point U^dag U test.
+    """
     n = d * d
-    m = np.zeros((n, n))
-    for i in range(d):
-        for j in range(d):
-            m[(perm.k[i][j] - 1) * d + (perm.l[i][j] - 1), i * d + j] = 1.0
-    return Unitary(d, m)
+    counts = np.bincount(rows, minlength=n)
+    if counts.size != n or not (counts == 1).all():
+        raise NotUnitary("image cells do not cover every basis state once")
+    m = np.zeros((n, n), dtype=complex)
+    m[rows, np.arange(n)] = 1.0
+    return Unitary._trusted(d, m)
+
+
+def unitary_of(perm: BiPerm) -> Unitary:
+    """Permutation matrix of a grid permutation (column = input cell).
+
+    Column i*d + j holds its 1 at row (k_ij - 1)*d + (l_ij - 1).  The
+    matrix is complex128 and read-only; it is checked exactly as a
+    permutation, not for U^dag U = I to a tolerance.
+    """
+    d = perm.d
+    check_oracle_dimension(d)
+    rows = (np.asarray(perm.k).reshape(-1) - 1) * d + (np.asarray(perm.l).reshape(-1) - 1)
+    return _permutation_unitary(d, rows)
 
 
 def swap_unitary(d: int) -> Unitary:
-    """The factor-exchange matrix |ij> -> |ji>."""
-    n = d * d
-    m = np.zeros((n, n))
-    for i in range(d):
-        for j in range(d):
-            m[j * d + i, i * d + j] = 1.0
-    return Unitary(d, m)
+    """The factor-exchange matrix |ij> -> |ji>: column i*d + j, row j*d + i."""
+    check_oracle_dimension(d)
+    return _permutation_unitary(d, np.arange(d * d).reshape(d, d).T.reshape(-1))
 
 
 def state_of_unitary(u: Unitary) -> PureState:
@@ -170,12 +197,34 @@ def linear_entropy(psi: PureState, cut: Sequence[int]) -> float:
     return dim / (dim - 1) * (1.0 - purity)
 
 
+def _entropy_12(matrix: np.ndarray, d: int) -> float:
+    """Linear entropy across 12|34 of the state of an operator matrix.
+
+    The cut matrix has rows (k, i) and columns (l, m), as in
+    state_of_unitary.  Its entries are the operator's, not divided by d;
+    the purity is scaled by 1/d^4 instead.
+    """
+    n = d * d
+    mat = matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+    gram = mat @ mat.conj().T
+    purity = float(np.vdot(gram, gram).real) / (n * n)
+    return n / (n - 1) * (1.0 - purity)
+
+
 def oracle_power(u: Unitary) -> float:
-    """Entangling power from the two state entropies (dense route)."""
+    """Entangling power from the two state entropies (dense route).
+
+    US is U with its columns permuted (column i*d + m of US is column
+    m*d + i of U), so it needs no matrix product and no second check.  A
+    matrix with no imaginary part, as every permutation's, is handled as
+    float64.
+    """
     d = u.d
-    s_u = linear_entropy(state_of_unitary(u), (1, 2))
-    us = Unitary(d, u.matrix @ swap_unitary(d).matrix)
-    s_us = linear_entropy(state_of_unitary(us), (1, 2))
+    n = d * d
+    matrix = u.matrix if u.matrix.imag.any() else u.matrix.real
+    us = matrix.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
+    s_u = _entropy_12(matrix, d)
+    s_us = _entropy_12(us, d)
     return d / (d + 1) * (s_u + s_us - 1.0)
 
 

@@ -192,6 +192,17 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("target", ["formula-vs-oracle", "mc-vs-formula"])
+    def test_oracle_cap_exit_4(self, capsys, monkeypatch, target):
+        # the cap is checked before any exact power or [pass] line
+        def refuse(perm):
+            raise AssertionError("computed a power above the oracle cap")
+
+        monkeypatch.setattr(cli, "entangling_power", refuse)
+        code, out, err = run(["verify", target, "--d", "13", "--samples", "10"], capsys)
+        assert code == 4 and out == ""
+        assert err.count("error:") == 1 and "d <= 12" in err
+
     def test_failure_exit_5(self, capsys, monkeypatch):
         from fractions import Fraction
         from permupower import golden

@@ -1,6 +1,8 @@
 """Dense linear-algebra path: states, entropies, and the defining integral."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +32,10 @@ from permupower import (
     swap_unitary,
     unitary_of,
 )
-from permupower.catalog import cnot_perm, r9_perm
+from permupower import oracle as oracle_module
+from permupower.catalog import builtin_perm, cnot_perm, r9_perm
 from permupower.oracle import COMPARISON_TOL
+from permupower.perm_core import BiPerm
 
 from conftest import random_biperms
 
@@ -237,3 +241,103 @@ class TestMolsStates:
         ents = split_entropies(unitary_of(superimpose(construct_mols(4))))
         for value in ents.values():
             assert value == pytest.approx(1.0, abs=TOL)
+
+
+def reference_matrix(perm):
+    """Column i*d + j holds its 1 at row (k_ij - 1)*d + l_ij - 1."""
+    d = perm.d
+    m = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            m[(perm.k[i][j] - 1) * d + perm.l[i][j] - 1, i * d + j] = 1.0
+    return m
+
+
+def reference_power(u):
+    """eps(U) from the definition: two state entropies, US by a matrix product."""
+    d = u.d
+    us = Unitary(d, u.matrix @ swap_unitary(d).matrix)
+    s_u = linear_entropy(state_of_unitary(u), (1, 2))
+    s_us = linear_entropy(state_of_unitary(us), (1, 2))
+    return d / (d + 1) * (s_u + s_us - 1.0)
+
+
+class TestPermutationUnitaries:
+    def assert_matches_definition(self, perm):
+        u = unitary_of(perm)
+        assert u.matrix.dtype == np.complex128
+        assert not u.matrix.flags.writeable
+        assert np.array_equal(u.matrix, reference_matrix(perm))
+
+    def test_random_perms(self, rng):
+        for d in range(2, 13):
+            for _ in range(3):
+                self.assert_matches_definition(random_perm(d, rng))
+
+    def test_named_perms(self):
+        for d in range(2, 13):
+            self.assert_matches_definition(identity_perm(d))
+            self.assert_matches_definition(swap_perm(d))
+            self.assert_matches_definition(builtin_perm(f"min:{d}"))
+        for d in (3, 4, 5, 7, 8, 9, 11, 12):
+            self.assert_matches_definition(builtin_perm(f"mols:{d}"))
+
+    def test_swap_unitary(self):
+        for d in range(2, 13):
+            u = swap_unitary(d)
+            expected = np.zeros((d * d, d * d))
+            for i in range(d):
+                for j in range(d):
+                    expected[j * d + i, i * d + j] = 1.0
+            assert u.matrix.dtype == np.complex128
+            assert not u.matrix.flags.writeable
+            assert np.array_equal(u.matrix, expected)
+
+    def test_cap(self, rng):
+        with pytest.raises(BudgetExceeded):
+            unitary_of(random_perm(13, rng))
+        with pytest.raises(BudgetExceeded):
+            swap_unitary(13)
+
+    def test_repeated_image_rejected(self):
+        # an unvalidated grid that sends two cells to (1, 1)
+        k = ((1, 1), (2, 2))
+        l = ((1, 1), (1, 2))
+        with pytest.raises(NotUnitary):
+            unitary_of(BiPerm._trusted(2, k, l))
+
+
+class TestOraclePowerPaths:
+    def test_complex_path_haar(self, rng):
+        for d in (2, 3, 4):
+            for _ in range(3):
+                u = Unitary(d, haar_unitary(d * d, rng))
+                assert oracle_power(u) == pytest.approx(reference_power(u), abs=TOL)
+
+    def test_real_non_permutation(self, rng):
+        # a real orthogonal matrix takes the float64 Gram path
+        for d in (2, 3, 4):
+            q, r = np.linalg.qr(rng.standard_normal((d * d, d * d)))
+            u = Unitary(d, q * np.sign(np.diag(r)))
+            assert oracle_power(u) == pytest.approx(reference_power(u), abs=TOL)
+
+    def test_matches_formula_at_larger_d(self):
+        for d in (8, 12):
+            for perm in random_biperms(800 + d, d, 4):
+                exact = float(entangling_power(perm).epsilon)
+                assert oracle_power(unitary_of(perm)) == pytest.approx(exact, abs=TOL)
+
+
+def test_oracle_does_not_import_entangle():
+    # the dense route checks the rectangle formula, so it must not call it
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.append(module)
+            imported += [f"{module}.{alias.name}" for alias in node.names]
+    assert "perm_core.BiPerm" in imported
+    assert not [name for name in imported if "entangle" in name.split(".")]
