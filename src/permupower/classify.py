@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateDimension, InsufficientSamples
 from .perm_core import BiPerm, identity_perm, lex_blocks, random_blocks
-from .entangle import q_totals_batch
+from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
 
 SAMPLE_CHUNK = 50_000
 
@@ -154,11 +154,7 @@ class ClassHistogram:
 def _histogram_from_q_counts(
     d: int, mode: str, q_counts: dict[int, int], seed: int | None = None
 ) -> ClassHistogram:
-    denom = d * (d - 1) * (d + 1) ** 2
-    c_const = d**4 + d**2
-    classes = sorted(
-        (Fraction(c_const - q_total, denom), c) for q_total, c in q_counts.items()
-    )
+    classes = sorted((epsilon_from_q(d, q_total, 0), c) for q_total, c in q_counts.items())
     return ClassHistogram(
         d=d,
         mode=mode,
@@ -320,10 +316,7 @@ def classify_sampled(
 
     sum_q = sum(q * c for q, c in merged.items())
     sum_q2 = sum(q * q * c for q, c in merged.items())
-    denom = d * (d - 1) * (d + 1) ** 2
-    c_const = d**4 + d**2
-    mean = (c_const - sum_q / samples) / denom
     var_q = max(0.0, (sum_q2 - sum_q * sum_q / samples) / (samples - 1))
-    std_error = math.sqrt(var_q) / denom / math.sqrt(samples)
+    std_error = math.sqrt(var_q) / epsilon_denominator(d) / math.sqrt(samples)
     hist = _histogram_from_q_counts(d, "sampled", merged, seed=seed)
-    return hist, SampleStats(mean, std_error, samples, seed)
+    return hist, SampleStats(float(hist.mean()), std_error, samples, seed)

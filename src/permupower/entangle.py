@@ -27,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateDimension, DimensionTooLarge, IndexOutOfRange
-from .perm_core import BiPerm, compose_with_swap
+from .perm_core import BiPerm, compose_with_swap, lines_are_permutations
 
 # Supported range of d, the largest d with d^4 < 2^31.  No count overflows
 # above it (q_of sums Python integers, the batch kernel sums in int64), but
@@ -94,38 +94,23 @@ def q_of(perm: BiPerm) -> int:
     return q
 
 
-def q_of_naive(perm: BiPerm) -> int:
-    """Reference O(d^4) evaluation of the quadruple sum."""
-    _check_dimension(perm.d)
-    d, k, l = perm.d, perm.k, perm.l
-    q = 0
-    for i in range(d):
-        for j in range(d):
-            for m in range(d):
-                for n in range(d):
-                    q += (
-                        l[i][m] == l[j][m]
-                        and l[i][n] == l[j][n]
-                        and k[i][m] == k[i][n]
-                        and k[j][m] == k[j][n]
-                    )
-    return q
+def _line_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both lines of every unordered line pair i <= j, and each line's cells.
 
-
-def _line_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat cell indices of both lines of every unordered line pair i <= j.
-
-    A line is a grid row (pairs for Q_P) or a grid column (pairs for Q_PS,
-    which is Q of the transposed grid).  Row p of the two (d(d+1), d)
-    arrays holds, for m = 0..d-1, the cell at position m of the pair's
-    first and second line.  The 2d pairs with i == j come first.
+    Lines 0..d-1 are the grid rows (pairs for Q_P), lines d..2d-1 the grid
+    columns (pairs for Q_PS, which is Q of the transposed grid).  The first
+    two tables hold the line indices of the d(d+1) pairs, the 2d pairs with
+    i == j first; row t of the (2d, d) third table holds line t's flat
+    cells in order.
     """
-    i, j = np.triu_indices(d)
-    m = np.arange(d)
-    first = np.concatenate([i[:, None] * d + m, m * d + i[:, None]])
-    second = np.concatenate([j[:, None] * d + m, m * d + j[:, None]])
-    order = np.argsort(first[:, 0] != second[:, 0], kind="stable")
-    return first[order], second[order]
+    i, j = np.triu_indices(d, 1)
+    diagonal = np.arange(2 * d)
+    grid = np.arange(d * d).reshape(d, d)
+    return (
+        np.concatenate([diagonal, i, i + d]),
+        np.concatenate([diagonal, j, j + d]),
+        np.concatenate([grid, grid.T]),
+    )
 
 
 def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
@@ -148,11 +133,14 @@ def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
     permutations at a time for small d, and blocks of line pairs of one
     permutation once d(d+1) lines of d keys exceed the budget.  Within a
     tile, line t's keys are offset by t(d^2 + d), so one flat sort orders
-    every line in place and no run crosses two lines.
+    every line in place and no run crosses two lines.  The pair tables
+    hold line indices, so each block of line pairs expands to its cell
+    indices once, outside the loop over permutations, and the kernel holds
+    O(d^2 + KEY_BUDGET) elements at any d.
     """
     _check_dimension(d)
     nb = flat.shape[0]
-    first, second = _line_pairs(d)
+    first, second, line_cells = _line_pairs(d)
     n_lines = first.shape[0]
     span = d * d + d
     lines_per_tile = min(n_lines, max(1, KEY_BUDGET // d))
@@ -165,17 +153,17 @@ def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
     positions = np.arange(n_max, dtype=np.int32)
 
     totals = np.zeros(nb, dtype=np.int64)
-    for lo in range(0, nb, perms_per_tile):
-        cells = flat[lo : lo + perms_per_tile].astype(np.int32)
-        k = cells // d
-        l = cells - k * d
-        kd = k * d
-        for p0 in range(0, n_lines, lines_per_tile):
-            a = first[p0 : p0 + lines_per_tile]
-            b = second[p0 : p0 + lines_per_tile]
+    for p0 in range(0, n_lines, lines_per_tile):
+        a = line_cells[first[p0 : p0 + lines_per_tile]]
+        b = line_cells[second[p0 : p0 + lines_per_tile]]
+        n_diag = min(max(2 * d - p0, 0), a.shape[0]) * d
+        for lo in range(0, nb, perms_per_tile):
+            cells = flat[lo : lo + perms_per_tile].astype(np.int32)
+            k = cells // d
+            l = cells - k * d
             matched = (l[:, a] == l[:, b]).reshape(-1)
             n = matched.size
-            keys = (kd[:, a] + k[:, b]).reshape(-1)
+            keys = (k[:, a] * d + k[:, b]).reshape(-1)
             # np.where(matched, keys, sentinel) + offset, in arithmetic:
             # np.where runs about ten times slower on a random mask
             keys -= sentinel[:n]
@@ -191,18 +179,22 @@ def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
             rank *= 2
             rank += matched
             f = rank.reshape(cells.shape[0], -1)
-            n_diag = min(max(2 * d - p0, 0), a.shape[0]) * d
             tile = 2 * f.sum(axis=1, dtype=np.int64)
             tile -= f[:, :n_diag].sum(axis=1, dtype=np.int64)  # i == j once
             totals[lo : lo + cells.shape[0]] += tile
     return totals
 
 
+def epsilon_denominator(d: int) -> int:
+    """The denominator d (d-1) (d+1)^2 of the power formula, unreduced."""
+    return d * (d - 1) * (d + 1) ** 2
+
+
 def epsilon_from_q(d: int, q_p: int, q_ps: int) -> Fraction:
     """Entangling power from the two rectangle counts."""
     if d < 2:
         raise DegenerateDimension("entangling power needs d >= 2")
-    return Fraction(d**4 + d**2 - q_p - q_ps, d * (d - 1) * (d + 1) ** 2)
+    return Fraction(d**4 + d**2 - q_p - q_ps, epsilon_denominator(d))
 
 
 @dataclass(frozen=True)
@@ -310,36 +302,22 @@ class BlockConditions:
 
 
 def check_block_conditions(perm: BiPerm) -> BlockConditions:
-    """Evaluate the four block conditions without forming the big matrix.
+    """Evaluate the four block conditions on the Latin lines of K and L.
 
     Input cell (i, j) contributes a 1 at matrix position (row (k_ij, l_ij),
     column (i, j)); block indices are (k_ij, i), in-block position
-    (l_ij, j).
+    (l_ij, j).  So block (k, i) holds one entry per j with k_ij = k, block
+    row k holds the cells with k_ij = k at sub-columns j, and block column
+    i holds row i of the grid at sub-rows l_ij.  The conditions therefore
+    read: every row of K is a permutation of [d] (one per block), and then
+    every column of L is too (distinct blocks); every column of K is
+    (distinct sub-columns); every row of L is (distinct sub-rows).
     """
     d, k, l = perm.d, perm.k, perm.l
-    blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(d):
-        for j in range(d):
-            blocks.setdefault((k[i][j], i), []).append((l[i][j], j))
-
-    one_per_block = len(blocks) == d * d and all(
-        len(v) == 1 for v in blocks.values()
+    one_per_block = lines_are_permutations(k, d)
+    return BlockConditions(
+        one_per_block=one_per_block,
+        blocks_distinct=one_per_block and lines_are_permutations(zip(*l), d),
+        row_subcolumns=lines_are_permutations(zip(*k), d),
+        col_subrows=lines_are_permutations(l, d),
     )
-    signatures = {key: tuple(sorted(v)) for key, v in blocks.items()}
-    blocks_distinct = (
-        len(blocks) == d * d and len(set(signatures.values())) == d * d
-    )
-
-    row_subcolumns = True
-    for kk in range(1, d + 1):
-        cols = [pos[1] for (bk, _), v in blocks.items() if bk == kk for pos in v]
-        if len(set(cols)) != len(cols):
-            row_subcolumns = False
-            break
-    col_subrows = True
-    for ii in range(d):
-        rows = [pos[0] for (_, bi), v in blocks.items() if bi == ii for pos in v]
-        if len(set(rows)) != len(rows):
-            col_subrows = False
-            break
-    return BlockConditions(one_per_block, blocks_distinct, row_subcolumns, col_subrows)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotOrthogonal, ParseError, UnsupportedOrder
-from .perm_core import BiPerm
+from .perm_core import BiPerm, lines_are_permutations
 
 # Latin square enumeration is row-by-row backtracking; side 5 already has
 # 161280 squares.
@@ -61,12 +61,7 @@ class LatinSquare:
 def is_latin(cells: Sequence[Sequence[int]]) -> bool:
     """True when every row and every column is a permutation of [d]."""
     d = len(cells)
-    if any(len(row) != d for row in cells):
-        return False
-    full = frozenset(range(1, d + 1))
-    if any(set(row) != full for row in cells):
-        return False
-    return all({cells[i][j] for i in range(d)} == full for j in range(d))
+    return lines_are_permutations(cells, d) and lines_are_permutations(zip(*cells), d)
 
 
 def are_orthogonal(

@@ -36,6 +36,9 @@ STRUCTURE_TOL = 1e-12   # structural checks (unitarity, norms, hermiticity)
 
 ORACLE_MAX_D = 12
 
+# Product inputs mc_power draws per step; the draws depend on it.
+MC_CHUNK = 20_000
+
 _CUT_NAMES = {
     "12|34": (0, 1),
     "13|24": (0, 2),
@@ -237,12 +240,7 @@ def split_entropies(u: Unitary) -> dict[str, float]:
     }
 
 
-def mc_power(
-    u: Unitary,
-    samples: int,
-    seed: int,
-    chunk: int = 20_000,
-) -> tuple[float, float]:
+def mc_power(u: Unitary, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the entangling power from its definition.
 
     Draws Haar-uniform product inputs (normalized complex Gaussians on
@@ -257,7 +255,7 @@ def mc_power(
     total_sq = 0.0
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(MC_CHUNK, samples - done)
         psi1 = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
         psi2 = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
         psi1 /= np.linalg.norm(psi1, axis=1, keepdims=True)

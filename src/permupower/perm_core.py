@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,6 +96,12 @@ class BiPerm:
 
     def __repr__(self) -> str:
         return f"BiPerm(d={self.d}, k={[list(r) for r in self.k]}, l={[list(r) for r in self.l]})"
+
+
+def lines_are_permutations(lines: Iterable[Sequence[int]], d: int) -> bool:
+    """True when every line (a row or column of a d x d matrix) permutes [d]."""
+    full = set(range(1, d + 1))
+    return all(len(line) == d and set(line) == full for line in lines)
 
 
 class WitnessKind(enum.Enum):

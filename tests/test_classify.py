@@ -192,6 +192,15 @@ class TestSampled:
         hist, stats = classify_sampled(3, 20_000, seed=3)
         assert float(hist.mean()) == pytest.approx(stats.mean_epsilon, abs=1e-12)
 
+    def test_mean_is_exact_histogram_mean(self):
+        # the mean 0.7393875 is a decimal tie at six places; evaluated in
+        # floats as (d^4 + d^2 - mean Q) / denominator it reads
+        # 0.7393875000000001, and `classify` printed 0.739387 for the
+        # exact mean and 0.739388 for the sampled one
+        hist, stats = classify_sampled(5, 2_000, seed=17)
+        assert hist.mean() == Fraction(59151, 80000)
+        assert stats.mean_epsilon == float(hist.mean())
+
     def test_std_error_from_histogram(self):
         # two chunks, so the moments come from a merged histogram; the
         # tolerance covers the float64 cancellation in the reported value

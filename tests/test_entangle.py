@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from permupower import (
     BiPerm,
+    BlockConditions,
     DegenerateDimension,
     DimensionTooLarge,
     IndexOutOfRange,
@@ -25,7 +26,6 @@ from permupower import (
     identity_perm,
     min_nonzero_perm,
     q_of,
-    q_of_naive,
     rectangle_flags,
     superimpose,
     swap_perm,
@@ -47,8 +47,50 @@ def flat_batch(perms) -> np.ndarray:
     )
 
 
+def q_of_naive(perm: BiPerm) -> int:
+    """Reference O(d^4) evaluation of the quadruple sum defining Q_P."""
+    d, k, l = perm.d, perm.k, perm.l
+    q = 0
+    for i in range(d):
+        for j in range(d):
+            for m in range(d):
+                for n in range(d):
+                    q += (
+                        l[i][m] == l[j][m]
+                        and l[i][n] == l[j][n]
+                        and k[i][m] == k[i][n]
+                        and k[j][m] == k[j][n]
+                    )
+    return q
+
+
 def scalar_totals(perms) -> list[int]:
     return [q_of(perm) + q_of(compose_with_swap(perm)) for perm in perms]
+
+
+def block_conditions_from_matrix(perm: BiPerm) -> BlockConditions:
+    """The four block conditions read off the d^2 x d^2 0/1 matrix of P.
+
+    P|i j> = |k_ij l_ij>, so the matrix has a 1 at row (k_ij, l_ij) and
+    column (i, j), and blocks[a, b] is its d x d block at block row a,
+    block column b.
+    """
+    d = perm.d
+    matrix = np.zeros((d * d, d * d), dtype=np.int8)
+    for i in range(d):
+        for j in range(d):
+            matrix[(perm.k[i][j] - 1) * d + perm.l[i][j] - 1, i * d + j] = 1
+    blocks = matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    # nonzero positions (block, sub-row, sub-column) within a block row / column
+    row_hits = [np.nonzero(blocks[a])[2] for a in range(d)]
+    col_hits = [np.nonzero(blocks[:, b])[1] for b in range(d)]
+    return BlockConditions(
+        one_per_block=bool((blocks.sum(axis=(2, 3)) == 1).all()),
+        blocks_distinct=len({blocks[a, b].tobytes() for a in range(d) for b in range(d)})
+        == d * d,
+        row_subcolumns=all(len(set(h.tolist())) == len(h) for h in row_hits),
+        col_subrows=all(len(set(h.tolist())) == len(h) for h in col_hits),
+    )
 
 
 def distinct_keys_perm(d: int, seed: int) -> BiPerm:
@@ -144,6 +186,20 @@ class TestQOf:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("d, bound_mib", [(100, 8), (215, 16)])
+    def test_batch_memory_bounded(self, d, bound_mib):
+        # the d(d+1) x d cells of all line pairs would take 31 MiB at
+        # d = 100 and 305 MiB at d = 215 once tabled; only the O(d^2) line
+        # tables and the KEY_BUDGET tiles may stay
+        flat = np.random.default_rng(d).permutation(d * d)[None, :]
+        tracemalloc.start()
+        try:
+            q_totals_batch(flat, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
     def test_closed_forms_at_cap(self):
         d = 215
@@ -383,6 +439,23 @@ class TestBlockConditions:
             perm = superimpose(construct_mols(d))
             assert entangling_power(perm).epsilon == Fraction(d, d + 1)
             assert check_block_conditions(perm).all()
+
+    def test_matches_matrix_reference(self):
+        cases = {2: list(enumerate_perms(2)), 3: random_biperms(303, 3, 2000)}
+        for d in (4, 5, 6):
+            cases[d] = random_biperms(300 + d, d, 200)
+        for d in range(2, 8):
+            names = ["identity", "swap", f"min:{d}"] + [f"mols:{d}"] * (d in (3, 4, 5, 7))
+            cases.setdefault(d, []).extend(builtin_perm(name, d) for name in names)
+        cases[3].append(r9_perm())
+        cases[6].append(builtin_perm("d6hat"))
+        for d, perms in cases.items():
+            # the conditions hold exactly when eps = d/(d+1), Q_P + Q_PS = 2d^2
+            maximal = (q_totals_batch(flat_batch(perms), d) == 2 * d * d).tolist()
+            for perm, top in zip(perms, maximal):
+                cond = check_block_conditions(perm)
+                assert cond == block_conditions_from_matrix(perm)
+                assert cond.all() == top
 
     def test_random_perms_match_threshold(self):
         for d in (3, 4):
