@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateDimension, InsufficientSamples
-from .perm_core import BiPerm, identity_perm, lex_blocks, random_blocks
+from .perm_core import ENUMERATION_MAX_D, BiPerm, identity_perm, lex_blocks, random_blocks
 from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
 
 SAMPLE_CHUNK = 50_000
@@ -246,12 +246,14 @@ def classify_exhaustive(
 ) -> ClassHistogram:
     """Exact census over all d^2! permutations.
 
-    Budgeted to d in {2, 3} unless `force` is set.  With `checkpoint_dir`,
-    each stratum persists its partial histogram (keyed by rank range) as
-    soon as it completes, and a rerun, also after an interrupted one,
-    computes only the strata not already on disk.
+    Needs d >= 2; d > ENUMERATION_MAX_D also needs `force`.  With
+    `checkpoint_dir`, each stratum persists its partial histogram (keyed by
+    rank range) as soon as it completes, and a rerun, also after an
+    interrupted one, computes only the strata not already on disk.
     """
-    if d not in (2, 3) and not force:
+    if d < 2:
+        raise DegenerateDimension("exhaustive census needs d >= 2")
+    if d > ENUMERATION_MAX_D and not force:
         raise BudgetExceeded(
             f"exhaustive census at d = {d} means {d * d}! evaluations; "
             "pass force to override"

@@ -10,11 +10,11 @@ Exit codes:
      the cap of 215, or d = 1 where the entangling power is undefined
   2  unparsable input: a malformed or unreadable file, an unknown builtin,
      or a bad argument (`--seed` outside [0, 2^32); `--d`, `--workers`,
-     `--count` or `verify --samples` below 1; a flag the command does not
-     read, such as `--format` outside `power` and `classify`, `--seed` or
-     `--workers` on `mols`, `--workers` on `sample`, `--out` on `verify`,
-     or `classify --samples` with `--checkpoint-dir` or `--force`; a
-     `--format` the command does not write)
+     `--count` or `verify --samples` below 1; a `power --d` other than the
+     permutation's d; a flag the command does not read, such as `--format`
+     outside `power` and `classify`, `--seed` or `--workers` on `mols`,
+     `--workers` on `sample`, `--out` on `verify`, or `classify --samples`
+     with `--checkpoint-dir` or `--force`; a `--format` it does not write)
   3  unsupported Latin square order
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
      overrides it), or the dense oracle's cap of d <= 12 on
@@ -42,7 +42,7 @@ from .classify import (
     classify_sampled,
     min_nonzero_perm,
 )
-from .entangle import check_block_conditions, entangling_power
+from .entangle import check_block_conditions, check_power_dimension, entangling_power
 from .errors import (
     BudgetExceeded,
     NotOrthogonal,
@@ -224,6 +224,8 @@ def cmd_power(args: argparse.Namespace) -> int:
         perm = builtin_perm(args.builtin, args.d)
     else:
         perm = parse_biperm(args.file.read_text())
+    if args.d is not None and args.d != perm.d:
+        raise ParseError(f"--d {args.d} contradicts the permutation's dimension {perm.d}")
     report = entangling_power(perm)
     if args.format == "json":
         _emit(report.to_json() + "\n", args.out)
@@ -354,6 +356,7 @@ def _verify_mc_vs_formula(args: argparse.Namespace) -> None:
     samples = args.samples or 100_000
     d = args.d or 3
     check_oracle_dimension(d)
+    check_power_dimension(d)
     _mc_within(builtin_perm("cnot"), "cnot", samples, args.seed)
     _mc_within(builtin_perm("r9"), "r9", samples, args.seed + 101)
     rng = np.random.default_rng(args.seed)
@@ -366,13 +369,13 @@ def _verify_theorem4(args: argparse.Namespace) -> None:
     dims = [args.d] if args.d else [3, 4, 5, 7, 8, 9, 11, 12]
     for d in dims:
         pair = construct_mols(d)
+        report = entangling_power(superimpose(pair))  # a bad d fails before any output
         ok = (
             is_latin(pair.first.cells)
             and is_latin(pair.second.cells)
             and are_orthogonal(pair.first, pair.second)
         )
         _check(f"d={d} constructed pair is orthogonal Latin", ok, True, ok)
-        report = entangling_power(superimpose(pair))
         _check(
             f"d={d} superimposed power",
             report.epsilon == Fraction(d, d + 1),

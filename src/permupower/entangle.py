@@ -46,6 +46,13 @@ def _check_dimension(d: int) -> None:
         raise DimensionTooLarge(f"d = {d} exceeds the supported cap {MAX_DIMENSION}")
 
 
+def check_power_dimension(d: int) -> None:
+    """Raise unless entangling_power accepts dimension d: 2 <= d <= MAX_DIMENSION."""
+    if d < 2:
+        raise DegenerateDimension("entangling power needs d >= 2")
+    _check_dimension(d)
+
+
 def q_of(perm: BiPerm) -> int:
     """Preserved-rectangle count Q_P, visiting only the row pairs that agree on l.
 
@@ -236,8 +243,7 @@ class PowerReport:
 
 def entangling_power(perm: BiPerm) -> PowerReport:
     """Exact entangling power of a grid permutation."""
-    if perm.d < 2:
-        raise DegenerateDimension("entangling power needs d >= 2")
+    check_power_dimension(perm.d)
     q_p = q_of(perm)
     q_ps = q_of(compose_with_swap(perm))
     return PowerReport(perm.d, q_p, q_ps, epsilon_from_q(perm.d, q_p, q_ps))

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotOrthogonal, ParseError, UnsupportedOrder
-from .perm_core import BiPerm, lines_are_permutations
+from .perm_core import BiPerm, lines_are_permutations, pairs_cover_grid, read_int_line, row_major
 
 # Latin square enumeration is row-by-row backtracking; side 5 already has
 # 161280 squares.
@@ -68,14 +68,10 @@ def are_orthogonal(
     a: LatinSquare | Sequence[Sequence[int]],
     b: LatinSquare | Sequence[Sequence[int]],
 ) -> bool:
-    """True when superimposing yields all d^2 ordered pairs exactly once."""
+    """True when superimposing yields all d^2 ordered pairs of [d] x [d] exactly once."""
     ca = a.cells if isinstance(a, LatinSquare) else a
     cb = b.cells if isinstance(b, LatinSquare) else b
-    d = len(ca)
-    if len(cb) != d:
-        return False
-    pairs = {(ca[i][j], cb[i][j]) for i in range(d) for j in range(d)}
-    return len(pairs) == d * d
+    return len(cb) == len(ca) and pairs_cover_grid(row_major(ca), row_major(cb), len(ca))
 
 
 @dataclass(frozen=True)
@@ -311,18 +307,8 @@ def count_orthogonal_pairs(d: int) -> int:
             f"pair counting enumerates all side-{d} squares; max side "
             f"{PAIR_COUNT_MAX_SIDE}"
         )
-    flats = [
-        tuple(v for row in sq.cells for v in row) for sq in enumerate_latin_squares(d)
-    ]
-    n = d * d
-    count = 0
-    for a, b in itertools.combinations(flats, 2):
-        seen = set()
-        for x, y in zip(a, b):
-            seen.add(x * d + y)
-        if len(seen) == n:
-            count += 1
-    return count
+    flats = [row_major(sq.cells) for sq in enumerate_latin_squares(d)]
+    return sum(pairs_cover_grid(a, b, d) for a, b in itertools.combinations(flats, 2))
 
 
 # --- text serialization -------------------------------------------------------
@@ -350,41 +336,17 @@ def _parse_square_lines(lines: list[str], offset: int) -> LatinSquare:
     d = len(lines[0].split())
     if len(lines) < d:
         raise ParseError(f"line {offset + 1}: square of side {d} needs {d} lines")
-    cells = []
-    for r in range(d):
-        toks = lines[r].split()
-        if len(toks) != d:
-            raise ParseError(
-                f"line {offset + r + 1}: expected {d} values, got {len(toks)}"
-            )
-        row = []
-        for c, tok in enumerate(toks, start=1):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(
-                    f"line {offset + r + 1}, token {c}: {tok!r} is not an integer"
-                ) from None
-            if not 1 <= v <= d:
-                raise ParseError(
-                    f"line {offset + r + 1}, token {c}: value {v} outside [1, {d}]"
-                )
-            row.append(v)
-        cells.append(tuple(row))
+    rows = enumerate(lines[:d], start=offset + 1)
+    cells = tuple(tuple(read_int_line(ln, d, f"line {r}", high=d)) for r, ln in rows)
     if not is_latin(cells):
         raise ParseError(f"line {offset + 1}: block is not a Latin square")
-    return LatinSquare._trusted(tuple(cells))
+    return LatinSquare._trusted(cells)
 
 
 def parse_pair_file(text: str) -> OrthogonalPair:
     """Parse two blank-line separated squares and validate orthogonality."""
-    chunks: list[list[str]] = [[]]
-    for ln in text.splitlines():
-        if ln.strip():
-            chunks[-1].append(ln)
-        elif chunks[-1]:
-            chunks.append([])
-    chunks = [c for c in chunks if c]
+    runs = itertools.groupby(text.splitlines(), key=lambda ln: bool(ln.strip()))
+    chunks = [list(run) for filled, run in runs if filled]
     if len(chunks) != 2:
         raise ParseError(f"expected 2 squares separated by a blank line, got {len(chunks)}")
     first = _parse_square_lines(chunks[0], offset=0)

@@ -29,7 +29,7 @@ from .errors import (
     ParameterOrderViolation,
     UnnormalizedState,
 )
-from .perm_core import BiPerm
+from .perm_core import BiPerm, biperm_to_flat
 
 COMPARISON_TOL = 1e-10  # value comparisons (formula vs oracle, entropies)
 STRUCTURE_TOL = 1e-12   # structural checks (unitarity, norms, hermiticity)
@@ -145,14 +145,12 @@ def _permutation_unitary(d: int, rows: np.ndarray) -> Unitary:
 def unitary_of(perm: BiPerm) -> Unitary:
     """Permutation matrix of a grid permutation (column = input cell).
 
-    Column i*d + j holds its 1 at row (k_ij - 1)*d + (l_ij - 1).  The
-    matrix is complex128 and read-only; it is checked exactly as a
-    permutation, not for U^dag U = I to a tolerance.
+    Column i*d + j holds its 1 at the row of the 0-based flat image,
+    (k_ij - 1)*d + (l_ij - 1).  The matrix is complex128 and read-only; it
+    is checked exactly as a permutation, not for U^dag U = I to a tolerance.
     """
-    d = perm.d
-    check_oracle_dimension(d)
-    rows = (np.asarray(perm.k).reshape(-1) - 1) * d + (np.asarray(perm.l).reshape(-1) - 1)
-    return _permutation_unitary(d, rows)
+    check_oracle_dimension(perm.d)
+    return _permutation_unitary(perm.d, np.array(biperm_to_flat(perm)) - 1)
 
 
 def swap_unitary(d: int) -> Unitary:

@@ -55,16 +55,13 @@ class BiPerm:
         d = len(k)
         if len(l) != d or any(len(r) != d for r in k) or any(len(r) != d for r in l):
             raise DimensionMismatch("k and l must both be d x d")
-        pairs = set()
-        for i in range(d):
-            for j in range(d):
-                ki, li = k[i][j], l[i][j]
+        ks, ls = row_major(k), row_major(l)
+        if not pairs_cover_grid(ks, ls, d):
+            for t, (ki, li) in enumerate(zip(ks, ls)):
                 if not (1 <= ki <= d and 1 <= li <= d):
                     raise NotBijection(
-                        f"cell ({i + 1},{j + 1}) -> ({ki},{li}) outside [1,{d}]^2"
+                        f"cell ({t // d + 1},{t % d + 1}) -> ({ki},{li}) outside [1,{d}]^2"
                     )
-                pairs.add((ki, li))
-        if len(pairs) != d * d:
             raise NotBijection("image pairs repeat; not a bijection of the grid")
         self.d = d
         self.k = k
@@ -102,6 +99,46 @@ def lines_are_permutations(lines: Iterable[Sequence[int]], d: int) -> bool:
     """True when every line (a row or column of a d x d matrix) permutes [d]."""
     full = set(range(1, d + 1))
     return all(len(line) == d and set(line) == full for line in lines)
+
+
+def row_major(grid: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The cells of a grid, row by row."""
+    return tuple(itertools.chain.from_iterable(grid))
+
+
+def pairs_cover_grid(ks: Sequence[int], ls: Sequence[int], d: int) -> bool:
+    """True when the cells ks, ls pair up into every (k, l) in [d] x [d] once.
+
+    `ks`, `ls` are the row-major cells of grids K, L: a bijection (K, L), or
+    an orthogonal Latin pair.  Pairs are compared as integer codes k * d + l,
+    distinct on [d]^2; the first repeated code ends the test.
+    """
+    codes = set()
+    for k, l in zip(ks, ls):
+        code = k * d + l
+        if code in codes:
+            return False
+        codes.add(code)
+    return len(codes) == d * d == len(ks) == len(ls) and {*ks, *ls} <= set(range(1, d + 1))
+
+
+def read_int_line(line: str, count: int, where: str, high: int | None = None) -> list[int]:
+    """The `count` integers on a text line, each in [1, high] if `high` is set.
+
+    The ParseError on a wrong count or the first bad token starts with `where`.
+    """
+    tokens = line.split()
+    if len(tokens) != count:
+        raise ParseError(f"{where}: expected {count} values, got {len(tokens)}")
+    values = []
+    for pos, tok in enumerate(tokens, start=1):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"{where}, token {pos}: {tok!r} is not an integer") from None
+        if high is not None and not 1 <= values[-1] <= high:
+            raise ParseError(f"{where}, token {pos}: value {values[-1]} outside [1, {high}]")
+    return values
 
 
 class WitnessKind(enum.Enum):
@@ -342,16 +379,7 @@ def parse_biperm(text: str) -> BiPerm:
         raise ParseError(f"line 1: malformed dimension {header[2:]!r}") from None
     if d < 1:
         raise ParseError(f"line 1: dimension must be positive, got {d}")
-    tokens = lines[1].split()
-    n = d * d
-    if len(tokens) != n:
-        raise ParseError(f"line 2: expected {n} values, got {len(tokens)}")
-    image = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            image.append(int(tok))
-        except ValueError:
-            raise ParseError(f"line 2, token {pos}: {tok!r} is not an integer") from None
+    image = read_int_line(lines[1], d * d, "line 2")
     try:
         return biperm_from_flat(image, d)
     except NotBijection as exc:

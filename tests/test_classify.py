@@ -78,6 +78,14 @@ class TestExhaustive:
         with pytest.raises(BudgetExceeded):
             classify_exhaustive(4)
 
+    def test_budget_is_the_enumeration_budget(self, monkeypatch):
+        monkeypatch.setattr(classify, "ENUMERATION_MAX_D", 2)
+        with pytest.raises(BudgetExceeded, match="9! evaluations"):
+            classify_exhaustive(3)
+        for force in (False, True):
+            with pytest.raises(DegenerateDimension, match="census needs d >= 2"):
+                classify_exhaustive(1, force=force)
+
     def test_zero_class_matches_e0(self, census_d3):
         assert dict(classify_exhaustive(2).classes)[Fraction(0)] == e0_stats(2)[0]
         assert dict(census_d3.classes)[Fraction(0)] == e0_stats(3)[0]

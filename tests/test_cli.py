@@ -16,6 +16,20 @@ def run(argv, capsys):
 
 
 class TestPower:
+    @pytest.mark.parametrize(
+        "source,d", [(["--builtin", "r9"], 3), (["--builtin", "min:4"], 4), ("file", 3)]
+    )
+    def test_d_must_match_the_permutation(self, capsys, tmp_path, source, d):
+        if source == "file":
+            path = tmp_path / "r9.txt"
+            path.write_text("d=3\n1 6 8 5 7 3 9 2 4\n")
+            source = ["--file", str(path)]
+        code, out, err = run(["power", *source, "--d", str(d + 2)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and f"dimension {d}" in err
+        code, out, _ = run(["power", *source, "--d", str(d)], capsys)
+        assert code == 0 and json.loads(out)["d"] == d
+
     def test_r9(self, capsys):
         code, out, _ = run(["power", "--builtin", "r9"], capsys)
         assert code == 0
@@ -81,6 +95,15 @@ class TestPower:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_exhaustive_d1_exit_1(self, capsys, tmp_path, force):
+        out_file = tmp_path / "census.json"
+        code, out, err = run(
+            ["classify", "--d", "1", "--exhaustive", "--out", str(out_file), *force], capsys
+        )
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err.count("error:") == 1 and "exhaustive census needs d >= 2" in err
+
     def test_d2_exhaustive(self, capsys, tmp_path):
         out_file = tmp_path / "census.json"
         code, out, _ = run(
@@ -160,6 +183,14 @@ class TestSample:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "target,d", [("mc-vs-formula", "1"), ("theorem4", "216"), ("theorem4", "217")]
+    )
+    def test_dimension_error_before_any_check(self, capsys, target, d):
+        code, out, err = run(["verify", target, "--d", d, "--samples", "10"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and ("d >= 2" in err or "cap 215" in err)
+
     def test_theorem7(self, capsys):
         code, out, _ = run(["verify", "theorem7"], capsys)
         assert code == 0 and "all checks passed" in out

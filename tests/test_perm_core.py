@@ -13,10 +13,12 @@ from permupower import (
     NotBijection,
     ParseError,
     WitnessKind,
+    are_orthogonal,
     biperm_from_flat,
     biperm_to_flat,
     compose_with_swap,
     detect_non_entangling,
+    enumerate_latin_squares,
     enumerate_perms,
     format_biperm,
     identity_perm,
@@ -75,6 +77,62 @@ class TestBiPermFromFlat:
             for _ in range(20):
                 image = tuple(int(v) + 1 for v in rng.permutation(d * d))
                 assert biperm_to_flat(biperm_from_flat(image, d)) == image
+
+
+def covers_grid_reference(k, l) -> bool:
+    """The definition: K and L are d x d, and {(k_ij, l_ij)} equals [d]^2."""
+    d = len(k)
+    if len(l) != d or any(len(row) != d for row in (*k, *l)):
+        return False
+    pairs = {(k[i][j], l[i][j]) for i in range(d) for j in range(d)}
+    return pairs == set(itertools.product(range(1, d + 1), repeat=2))
+
+
+def biperm_accepts(k, l) -> bool:
+    try:
+        BiPerm(k, l)
+    except (DimensionMismatch, NotBijection):
+        return False
+    return True
+
+
+def near_bijections(d: int, count: int, seed: int):
+    """Grid pairs one edit away from a random bijection: a cell changed in
+    range, a value out of range, sides that differ, or two cells swapped."""
+    gen = np.random.default_rng([seed, d])
+    for t in range(count):
+        perm = random_perm(d, gen)
+        k = [list(row) for row in perm.k]
+        l = [list(row) for row in perm.l]
+        kind, grid = t % 4, (k, l)[t // 4 % 2]
+        i, j, i2, j2 = gen.integers(d, size=4).tolist()
+        if kind == 0:
+            grid[i][j] = int(gen.integers(1, d + 1))
+        elif kind == 1:
+            grid[i][j] = int(gen.choice([0, -1, d + 1, d * d]))
+        elif kind == 2:
+            side = d + int(gen.choice([-1, 1]))
+            grid[:] = gen.integers(1, side + 1, size=(side, side)).tolist()
+        else:
+            grid[i][j], grid[i2][j2] = grid[i2][j2], grid[i][j]
+        yield k, l
+
+
+class TestCoverRule:
+    """BiPerm and are_orthogonal accept exactly the pairs the definition does."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_reference(self, d):
+        cases = list(near_bijections(d, 400, seed=13))
+        if d == 3:
+            squares = [sq.cells for sq in enumerate_latin_squares(3)]
+            cases += itertools.product(squares, repeat=2)
+        verdicts = []
+        for k, l in cases:
+            expected = covers_grid_reference(k, l)
+            assert biperm_accepts(k, l) == are_orthogonal(k, l) == expected, (k, l)
+            verdicts.append(expected)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestBasicPerms:
