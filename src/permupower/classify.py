@@ -68,6 +68,24 @@ def min_nonzero_perm(d: int) -> BiPerm:
     return BiPerm(base.k, l)
 
 
+def exact_mean(d: int) -> Fraction:
+    """Mean entangling power over all d^2! permutations.
+
+    By linearity of expectation, a uniform permutation has E[Q_P] = E[Q_PS]
+    = n + 2n (d-1)/(d+1) + d^4 (d-1)^4 / (n (n-1) (n-2) (n-3)) with
+    n = d^2, and the power is linear in Q_P + Q_PS.
+    """
+    if d < 2:
+        raise DegenerateDimension("exact mean needs d >= 2")
+    n = d * d
+    e_q = (
+        Fraction(n)
+        + Fraction(2 * n * (d - 1), d + 1)
+        + Fraction(d**4 * (d - 1) ** 4, n * (n - 1) * (n - 2) * (n - 3))
+    )
+    return (d**4 + n - 2 * e_q) / epsilon_denominator(d)
+
+
 @dataclass(frozen=True)
 class SampleStats:
     """Empirical mean and standard error of the sampled entangling power."""

@@ -40,6 +40,7 @@ from .classify import (
     class_bound,
     classify_exhaustive,
     classify_sampled,
+    exact_mean,
     min_nonzero_perm,
 )
 from .entangle import check_block_conditions, check_power_dimension, entangling_power
@@ -270,6 +271,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if stats is not None:
         print(f"sampled   mean {stats.mean_epsilon:.6f} +- {stats.std_error:.2g} "
               f"(seed {stats.seed})")
+        exact = exact_mean(d)
+        z = (f"{float(mean - exact) / stats.std_error:+.2f}" if stats.std_error > 0
+             else "undefined (SE 0)")
+        print(f"exact     mean {exact} = {float(exact):.6f}, z = {z}")
     print(f"written   {out}")
     return EXIT_OK
 
@@ -283,11 +288,11 @@ def cmd_mols(args: argparse.Namespace) -> int:
         raise ParseError("mols needs --d")
     pair = construct_mols(d, table_file=args.table)
     perm = superimpose(pair)
+    report = entangling_power(perm)  # a bad d fails before any file is written
     out = args.out if args.out is not None else Path(f"mols-d{d}.txt")
     perm_path = Path(str(out) + ".perm")
     out.write_text(format_pair(pair))
     perm_path.write_text(format_biperm(perm))
-    report = entangling_power(perm)
     print(f"pair      {out}")
     print(f"perm      {perm_path}")
     print(f"epsilon   {report.epsilon} (maximum d/(d+1) = {Fraction(d, d + 1)})")

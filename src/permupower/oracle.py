@@ -39,6 +39,13 @@ ORACLE_MAX_D = 12
 # Product inputs mc_power draws per step; the draws depend on it.
 MC_CHUNK = 20_000
 
+# Most complex cells mc_power holds in one product array.  Each chunk's
+# draws are applied to U in row tiles of max(1, MC_TILE_CELLS // d^2)
+# samples, so the outer products, U's outputs and the Gram matrices grow
+# with neither MC_CHUNK nor d.  The draws do not depend on it, so a seed's
+# result changes only by rounding in the sums.
+MC_TILE_CELLS = 1 << 14
+
 _CUT_NAMES = {
     "12|34": (0, 1),
     "13|24": (0, 2),
@@ -244,10 +251,17 @@ def mc_power(u: Unitary, samples: int, seed: int) -> tuple[float, float]:
     Draws Haar-uniform product inputs (normalized complex Gaussians on
     each factor), applies U, and averages the linear entropy across the
     two factors.  Returns (mean, standard error); deterministic per seed.
+
+    The factors are drawn MC_CHUNK samples at a time; each chunk's products
+    are formed and applied to U in tiles of at most MC_TILE_CELLS complex
+    cells, so working memory is O(MC_CHUNK * d + MC_TILE_CELLS) at any d
+    and sample count.
     """
     if samples < 2:
         raise InsufficientSamples("need at least 2 samples for a standard error")
     d = u.d
+    n = d * d
+    tile = max(1, MC_TILE_CELLS // n)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
@@ -258,13 +272,16 @@ def mc_power(u: Unitary, samples: int, seed: int) -> tuple[float, float]:
         psi2 = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
         psi1 /= np.linalg.norm(psi1, axis=1, keepdims=True)
         psi2 /= np.linalg.norm(psi2, axis=1, keepdims=True)
-        prod = np.einsum("bi,bj->bij", psi1, psi2).reshape(b, d * d)
-        out = (prod @ u.matrix.T).reshape(b, d, d)
-        gram = np.einsum("bim,bjm->bij", out, out.conj())
-        purity = np.sum(np.abs(gram) ** 2, axis=(1, 2)).real
-        ent = d / (d - 1) * (1.0 - purity)
-        total += float(ent.sum())
-        total_sq += float((ent**2).sum())
+        for lo in range(0, b, tile):
+            p1, p2 = psi1[lo:lo + tile], psi2[lo:lo + tile]
+            t = p1.shape[0]
+            prod = np.einsum("bi,bj->bij", p1, p2).reshape(t, n)
+            out = (prod @ u.matrix.T).reshape(t, d, d)
+            gram = np.einsum("bim,bjm->bij", out, out.conj())
+            purity = np.sum(np.abs(gram) ** 2, axis=(1, 2)).real
+            ent = d / (d - 1) * (1.0 - purity)
+            total += float(ent.sum())
+            total_sq += float((ent**2).sum())
         done += b
     mean = total / samples
     var = max(0.0, (total_sq - total * total / samples) / (samples - 1))

@@ -19,6 +19,7 @@ from permupower import (
     detect_non_entangling,
     e0_stats,
     entangling_power,
+    exact_mean,
     min_nonzero_perm,
 )
 from permupower import classify, golden
@@ -73,6 +74,20 @@ class TestExhaustive:
     def test_means_exact(self, census_d3):
         assert classify_exhaustive(2).mean() == Fraction(8, 27)
         assert census_d3.mean() == Fraction(31, 56)
+
+    def test_exact_mean_is_the_census_mean(self, census_d3):
+        assert exact_mean(2) == classify_exhaustive(2).mean() == Fraction(8, 27)
+        assert exact_mean(3) == census_d3.mean() == Fraction(31, 56)
+
+    @pytest.mark.parametrize(
+        "d, mean", [(4, Fraction(7608, 11375)), (8, Fraction(1164464, 1378539))]
+    )
+    def test_exact_mean_beyond_enumeration(self, d, mean):
+        assert exact_mean(d) == mean
+
+    def test_exact_mean_degenerate(self):
+        with pytest.raises(DegenerateDimension):
+            exact_mean(1)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -1,10 +1,11 @@
 """Command line surface: outputs, formats, exit codes, reproducibility."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from permupower import cli
+from permupower import classify_sampled, cli
 from permupower.latin import parse_pair_file
 from permupower import entangling_power, parse_biperm
 
@@ -131,6 +132,33 @@ class TestClassify:
         assert run(base + ["--workers", "3", "--out", str(out2)], capsys)[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sampled_prints_z_against_exact_mean(self, capsys, tmp_path):
+        out_file = tmp_path / "census.json"
+        code, out, _ = run(
+            ["classify", "--d", "4", "--samples", "20000", "--seed", "3",
+             "--out", str(out_file)], capsys,
+        )
+        assert code == 0
+        hist, stats = classify_sampled(4, 20000, 3)
+        z = float(hist.mean() - Fraction(7608, 11375)) / stats.std_error
+        assert f"exact     mean 7608/11375 = 0.668835, z = {z:+.2f}\n" in out
+        assert out_file.read_text() == hist.to_json() + "\n"
+
+    def test_sampled_z_with_zero_error(self, capsys, tmp_path):
+        # two d = 2 draws of the same class: the standard error is 0
+        code, out, _ = run(
+            ["classify", "--d", "2", "--samples", "2", "--seed", "4",
+             "--out", str(tmp_path / "c.json")], capsys,
+        )
+        assert code == 0 and "z = undefined (SE 0)" in out
+
+    def test_exhaustive_prints_no_z(self, capsys, tmp_path):
+        code, out, _ = run(
+            ["classify", "--d", "2", "--exhaustive", "--out", str(tmp_path / "c.json")],
+            capsys,
+        )
+        assert code == 0 and "exact" not in out
+
     def test_csv_output(self, capsys, tmp_path):
         out_file = tmp_path / "census.csv"
         code, _, _ = run(
@@ -156,6 +184,14 @@ class TestMols:
             ["mols", "--d", "10", "--out", str(tmp_path / "p.txt")], capsys
         )
         assert code == 3 and "Bose-Shrikhande-Parker" in err
+
+    def test_over_cap_writes_nothing(self, capsys, tmp_path):
+        out_file = tmp_path / "p.txt"
+        code, out, err = run(["mols", "--d", "216", "--out", str(out_file)], capsys)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "cap 215" in err
+        assert not out_file.exists()
+        assert not (tmp_path / "p.txt.perm").exists()
 
     def test_table_passthrough(self, capsys, tmp_path):
         src = tmp_path / "src.txt"

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,36 @@ class TestMonteCarlo:
                         break
                 else:
                     pytest.fail(f"d={d} perm #{idx}: {mean} vs {target} (se {se})")
+
+
+class TestMonteCarloTiles:
+    @pytest.mark.parametrize("tile", ["one sample", "whole chunk"])
+    def test_tile_invariance(self, monkeypatch, tile):
+        # 25,001 is a multiple of neither MC_CHUNK nor the default tile, so
+        # the last chunk and the last default tile of each chunk are partial
+        perms = (cnot_perm(), r9_perm(), random_perm(5, np.random.default_rng(55)))
+        for u in map(unitary_of, perms):
+            n = u.d * u.d
+            reference = mc_power(u, 25_001, seed=17)
+            cells = n if tile == "one sample" else oracle_module.MC_CHUNK * n
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle_module, "MC_TILE_CELLS", cells)
+                mean, se = mc_power(u, 25_001, seed=17)
+            assert mean == pytest.approx(reference[0], abs=1e-12)
+            assert se == pytest.approx(reference[1], rel=1e-9)
+
+    def test_memory_bounded(self):
+        # whole 20,000-sample chunks of d^2 complex products, outputs and
+        # Gram matrices peak near 227 MiB at d = 12; the draws and one
+        # MC_TILE_CELLS tile of each stay under 20 MiB
+        u = unitary_of(random_perm(12, np.random.default_rng(12)))
+        tracemalloc.start()
+        try:
+            mc_power(u, 50_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRezakhani:

@@ -16,8 +16,8 @@ PUBLIC_NAMES = [
     "biperm_to_flat", "builtin_perm", "check_block_conditions", "class_bound",
     "classify_exhaustive", "classify_sampled", "compose_with_swap", "construct_mols",
     "count_orthogonal_pairs", "detect_non_entangling", "e0_stats", "entangling_power",
-    "enumerate_latin_squares", "enumerate_perms", "epsilon_from_q", "format_biperm",
-    "identity_perm", "is_latin", "linear_entropy", "mc_power", "min_nonzero_perm",
+    "enumerate_latin_squares", "enumerate_perms", "epsilon_from_q", "exact_mean",
+    "format_biperm", "identity_perm", "is_latin", "linear_entropy", "mc_power", "min_nonzero_perm",
     "oracle_power", "parse_biperm", "partial_trace", "q_of", "random_perm",
     "rectangle_flags", "rezakhani_power", "special_d6_perm", "split_entropies",
     "state_of_unitary", "superimpose", "swap_perm", "swap_unitary", "unitary_of",
