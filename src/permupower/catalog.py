@@ -6,6 +6,7 @@ names cannot drift; tests validate each entry against its known power.
 
 from __future__ import annotations
 
+from .entangle import _check_dimension
 from .errors import ParseError
 from .latin import construct_mols, special_d6_perm, superimpose
 from .perm_core import BiPerm, biperm_from_flat, identity_perm, swap_perm
@@ -22,56 +23,49 @@ _M_FLAT = (1, 4, 2, 3)
 _R9_K = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 _R9_L = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
 
-BUILTIN_NAMES = ("identity", "swap", "cnot", "m", "r9", "d6hat", "min:<d>", "mols:<d>")
+# name -> (kind, builder).  A "fixed" builder takes no argument; a "sized"
+# one takes the caller's d; a name ending in ":<d>" carries its own d.  The
+# mols builder looks construct_mols and superimpose up when it runs, so a
+# wrapper installed on this module's globals sees the call.
+_BUILTINS = {
+    "identity": ("sized", identity_perm),
+    "swap": ("sized", swap_perm),
+    "cnot": ("fixed", lambda: biperm_from_flat(_CNOT_FLAT, 2)),
+    "m": ("fixed", lambda: biperm_from_flat(_M_FLAT, 2)),
+    "r9": ("fixed", lambda: BiPerm(_R9_K, _R9_L)),
+    "d6hat": ("fixed", special_d6_perm),
+    "min:<d>": ("own", min_nonzero_perm),
+    "mols:<d>": ("own", lambda d: superimpose(construct_mols(d))),
+}
 
-
-def cnot_perm() -> BiPerm:
-    return biperm_from_flat(_CNOT_FLAT, 2)
-
-
-def m_perm() -> BiPerm:
-    return biperm_from_flat(_M_FLAT, 2)
-
-
-def r9_perm() -> BiPerm:
-    return BiPerm(_R9_K, _R9_L)
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_perm(name: str, d: int | None = None) -> BiPerm:
-    """Resolve a builtin permutation name.
+    """Resolve a builtin permutation name, case-insensitively.
 
     `identity` and `swap` require d; `min:<d>` and `mols:<d>` carry their
     own dimension; `cnot`, `m` (d=2), `r9` (d=3) and `d6hat` (d=6) are
-    fixed instances.
+    fixed instances.  A sized dimension is checked against the cap before
+    anything is built.
     """
     name = name.strip().lower()
-    if name in ("identity", "swap"):
-        if d is None:
-            raise ParseError(f"builtin {name!r} needs an explicit dimension")
-        return identity_perm(d) if name == "identity" else swap_perm(d)
-    if name == "cnot":
-        return cnot_perm()
-    if name == "m":
-        return m_perm()
-    if name == "r9":
-        return r9_perm()
-    if name == "d6hat":
-        return special_d6_perm()
-    if name.startswith("min:"):
-        return min_nonzero_perm(_parse_dim(name))
-    if name.startswith("mols:"):
-        return superimpose(construct_mols(_parse_dim(name)))
-    raise ParseError(
-        f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-    )
-
-
-def _parse_dim(name: str) -> int:
-    _, _, tail = name.partition(":")
-    try:
-        d = int(tail)
-    except ValueError:
-        raise ParseError(f"builtin {name!r}: {tail!r} is not an integer") from None
-    if d < 1:
-        raise ParseError(f"builtin {name!r}: dimension must be positive")
-    return d
+    stem, colon, tail = name.partition(":")
+    kind, build = _BUILTINS.get(f"{stem}:<d>" if colon else name, (None, None))
+    if kind is None:
+        raise ParseError(
+            f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
+        )
+    if kind == "fixed":
+        return build()
+    if kind == "own":
+        try:
+            d = int(tail)
+        except ValueError:
+            raise ParseError(f"builtin {name!r}: {tail!r} is not an integer") from None
+        if d < 1:
+            raise ParseError(f"builtin {name!r}: dimension must be positive")
+    elif d is None:
+        raise ParseError(f"builtin {name!r} needs an explicit dimension")
+    _check_dimension(d)
+    return build(d)

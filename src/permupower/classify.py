@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateDimension, InsufficientSamples
 from .perm_core import ENUMERATION_MAX_D, BiPerm, identity_perm, lex_blocks, random_blocks
-from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
+from .entangle import _check_dimension, epsilon_denominator, epsilon_from_q, q_totals_batch
 
 SAMPLE_CHUNK = 50_000
 
@@ -264,13 +264,14 @@ def classify_exhaustive(
 ) -> ClassHistogram:
     """Exact census over all d^2! permutations.
 
-    Needs d >= 2; d > ENUMERATION_MAX_D also needs `force`.  With
+    Needs 2 <= d <= 215, and `force` above ENUMERATION_MAX_D.  With
     `checkpoint_dir`, each stratum persists its partial histogram (keyed by
     rank range) as soon as it completes, and a rerun, also after an
     interrupted one, computes only the strata not already on disk.
     """
     if d < 2:
         raise DegenerateDimension("exhaustive census needs d >= 2")
+    _check_dimension(d)
     if d > ENUMERATION_MAX_D and not force:
         raise BudgetExceeded(
             f"exhaustive census at d = {d} means {d * d}! evaluations; "
@@ -322,6 +323,7 @@ def classify_sampled(
     """
     if d < 2:
         raise DegenerateDimension("sampling needs d >= 2")
+    _check_dimension(d)
     if samples < 2:
         raise InsufficientSamples("need at least 2 samples")
     if not 0 <= seed < SEED_BOUND:

@@ -6,8 +6,9 @@ JSON regardless of worker count.
 
 Exit codes:
   0  success
-  1  any other invalid request, e.g. `classify --samples` below 2, d above
-     the cap of 215, or d = 1 where the entangling power is undefined
+  1  any other invalid request, e.g. `classify --samples` below 2, d = 1
+     where the entangling power is undefined, or a `--d` or builtin
+     dimension above the cap of 215 (every command, checked first)
   2  unparsable input: a malformed or unreadable file, an unknown builtin,
      or a bad argument (`--seed` outside [0, 2^32); `--d`, `--workers`,
      `--count` or `verify --samples` below 1; a `power --d` other than the
@@ -26,6 +27,7 @@ Every error exit prints one `error:` line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from fractions import Fraction
@@ -34,15 +36,15 @@ from pathlib import Path
 import numpy as np
 
 from . import golden
-from .catalog import builtin_perm
+from .catalog import BUILTIN_NAMES, builtin_perm
 from .classify import (
     SEED_BOUND,
     class_bound,
     classify_exhaustive,
     classify_sampled,
     exact_mean,
-    min_nonzero_perm,
 )
+from .entangle import _check_dimension  # the dimension cap test
 from .entangle import check_block_conditions, check_power_dimension, entangling_power
 from .errors import (
     BudgetExceeded,
@@ -59,16 +61,24 @@ from .latin import (
     superimpose,
 )
 from .oracle import check_oracle_dimension, mc_power, oracle_power, unitary_of
-from .perm_core import format_biperm, parse_biperm, random_perm
+from .perm_core import format_biperm, parse_biperm, random_blocks, random_perm
 
 # Fixed default seed: bare invocations are reproducible by construction.
 DEFAULT_SEED = 42
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_UNSUPPORTED = 3
-EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+
+# Exit code per error type.  The first match wins, so PermupowerError, the
+# base of the other package errors, comes last.
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
+    ((UnsupportedOrder, NotOrthogonal), 3),
+    (BudgetExceeded, 4),
+    (PermupowerError, 1),
+)
 
 
 def _default_workers() -> int:
@@ -133,19 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_power = sub.add_parser("power", help="entangling power of one permutation")
+    p_power.set_defaults(run=cmd_power)
     src = p_power.add_mutually_exclusive_group(required=True)
-    src.add_argument(
-        "--builtin",
-        help="named permutation: identity, swap, cnot, m, r9, d6hat, min:<d>, mols:<d>",
-    )
+    src.add_argument("--builtin", help="named permutation: " + ", ".join(BUILTIN_NAMES))
     src.add_argument("--file", type=Path, help="permutation file (text form)")
     p_power.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
+        "--format", choices=POWER_FORMATS, default="json",
         help="output format (json is canonical)",
     )
     _add_common(p_power, "d", "seed", "workers", "out")
 
     p_cls = sub.add_parser("classify", help="census of permutations by power")
+    p_cls.set_defaults(run=cmd_classify)
     mode = p_cls.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true", help="all d^2! permutations")
     mode.add_argument("--samples", type=int, help="number of random permutations")
@@ -163,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cls, "d", "seed", "workers", "out")
 
     p_mols = sub.add_parser("mols", help="construct an orthogonal Latin pair")
+    p_mols.set_defaults(run=cmd_mols)
     p_mols.add_argument(
         "--table", type=Path, default=None,
         help="load the pair from a file instead of constructing (validated)",
@@ -170,10 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_mols, "d", "out")
 
     p_ver = sub.add_parser("verify", help="run a named cross-check suite")
-    p_ver.add_argument(
-        "target",
-        choices=("formula-vs-oracle", "mc-vs-formula", "theorem4", "theorem7", "tables"),
-    )
+    p_ver.set_defaults(run=cmd_verify)
+    p_ver.add_argument("target", choices=VERIFY_TARGETS)
     p_ver.add_argument(
         "--samples", type=_int_at_least(1), default=None,
         help="sample count for the statistical targets",
@@ -181,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver, "d", "seed", "workers")
 
     p_sample = sub.add_parser("sample", help="draw uniform random permutations")
+    p_sample.set_defaults(run=cmd_sample)
     p_sample.add_argument(
         "--count", type=_int_at_least(1), default=1, help="how many to draw"
     )
@@ -189,13 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        out.write_text(text)
+def _output(out: Path | None):
+    """The stream a command writes to: the file `out`, or else stdout."""
+    return contextlib.nullcontext(sys.stdout) if out is None else out.open("w")
 
 
 # --- power --------------------------------------------------------------------
@@ -220,6 +225,14 @@ def _power_csv(report) -> str:
     )
 
 
+# `power --format`: name -> the report in that format
+POWER_FORMATS = {
+    "json": lambda report: report.to_json() + "\n",
+    "csv": _power_csv,
+    "text": _power_text,
+}
+
+
 def cmd_power(args: argparse.Namespace) -> int:
     if args.builtin is not None:
         perm = builtin_perm(args.builtin, args.d)
@@ -228,12 +241,8 @@ def cmd_power(args: argparse.Namespace) -> int:
     if args.d is not None and args.d != perm.d:
         raise ParseError(f"--d {args.d} contradicts the permutation's dimension {perm.d}")
     report = entangling_power(perm)
-    if args.format == "json":
-        _emit(report.to_json() + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_power_csv(report), args.out)
-    else:
-        _emit(_power_text(report), args.out)
+    with _output(args.out) as stream:
+        stream.write(POWER_FORMATS[args.format](report))
     return EXIT_OK
 
 
@@ -260,8 +269,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     payload = hist.to_csv() if args.format == "csv" else hist.to_json() + "\n"
     out = args.out
     if out is None:
-        suffix = "csv" if args.format == "csv" else "json"
-        out = Path(f"classify-d{d}-{hist.mode}.{suffix}")
+        out = Path(f"classify-d{d}-{hist.mode}.{args.format}")
     out.write_text(payload)
 
     mean = hist.mean()
@@ -306,9 +314,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
     d = args.d
     if d is None:
         raise ParseError("sample needs --d")
+    # row r of random_blocks is the r-th rng.permutation draw, so this writes
+    # format_biperm(random_perm(d, rng)) for each draw, as it is drawn
     rng = np.random.default_rng(args.seed)
-    blocks = [format_biperm(random_perm(d, rng)) for _ in range(args.count)]
-    _emit("\n".join(blocks), args.out)
+    head = f"d={d}\n"
+    with _output(args.out) as stream:
+        for block in random_blocks(d * d, args.count, rng):
+            block += 1
+            for row in block:
+                stream.write(head + " ".join(map(str, row.tolist())) + "\n")
+                head = f"\nd={d}\n"
     return EXIT_OK
 
 
@@ -374,7 +389,8 @@ def _verify_theorem4(args: argparse.Namespace) -> None:
     dims = [args.d] if args.d else [3, 4, 5, 7, 8, 9, 11, 12]
     for d in dims:
         pair = construct_mols(d)
-        report = entangling_power(superimpose(pair))  # a bad d fails before any output
+        perm = superimpose(pair)
+        report = entangling_power(perm)  # a bad d fails before any output
         ok = (
             is_latin(pair.first.cells)
             and is_latin(pair.second.cells)
@@ -386,14 +402,14 @@ def _verify_theorem4(args: argparse.Namespace) -> None:
             report.epsilon == Fraction(d, d + 1),
             f"{d}/{d + 1}", str(report.epsilon),
         )
-        blocks = check_block_conditions(superimpose(pair))
+        blocks = check_block_conditions(perm)
         _check(f"d={d} block conditions", blocks.all(), "all four", blocks)
 
 
 def _verify_theorem7(args: argparse.Namespace) -> None:
     dims = [args.d] if args.d else list(range(2, 9))
     for d in dims:
-        report = entangling_power(min_nonzero_perm(d))
+        report = entangling_power(builtin_perm(f"min:{d}"))
         expected = Fraction(8 * (d - 1), d * (d + 1) ** 2)
         _check(
             f"d={d} minimal nonzero power",
@@ -420,16 +436,19 @@ def _verify_tables(args: argparse.Namespace) -> None:
         )
 
 
+# `verify` target name -> its checks
+VERIFY_TARGETS = {
+    "formula-vs-oracle": _verify_formula_vs_oracle,
+    "mc-vs-formula": _verify_mc_vs_formula,
+    "theorem4": _verify_theorem4,
+    "theorem7": _verify_theorem7,
+    "tables": _verify_tables,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    runner = {
-        "formula-vs-oracle": _verify_formula_vs_oracle,
-        "mc-vs-formula": _verify_mc_vs_formula,
-        "theorem4": _verify_theorem4,
-        "theorem7": _verify_theorem7,
-        "tables": _verify_tables,
-    }[args.target]
     try:
-        runner(args)
+        VERIFY_TARGETS[args.target](args)
     except _VerifyFailure:
         return EXIT_VERIFY
     print("all checks passed")
@@ -444,30 +463,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "workers" in vars(args) and args.workers is None:
         args.workers = _default_workers()
-    handler = {
-        "power": cmd_power,
-        "classify": cmd_classify,
-        "mols": cmd_mols,
-        "verify": cmd_verify,
-        "sample": cmd_sample,
-    }[args.command]
     try:
-        return handler(args)
-    except ParseError as exc:
+        if args.d is not None:  # every subcommand takes --d
+            _check_dimension(args.d)
+        return args.run(args)
+    except (PermupowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (UnsupportedOrder, NotOrthogonal) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PermupowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from permupower import (
     swap_perm,
     unitary_of,
 )
-from permupower.catalog import cnot_perm, r9_perm
+from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
 
 ORACLE_TOL = 1e-10
@@ -173,8 +173,8 @@ def test_criterion_4_extremal_values():
         and entangling_power(swap_perm(d)).epsilon == 0
         for d in range(2, 9)
     )
-    ok = ok and entangling_power(cnot_perm()).epsilon == Fraction(4, 9)
-    ok = ok and entangling_power(r9_perm()).epsilon == Fraction(3, 4)
+    ok = ok and entangling_power(builtin_perm("cnot")).epsilon == Fraction(4, 9)
+    ok = ok and entangling_power(builtin_perm("r9")).epsilon == Fraction(3, 4)
     ok = ok and all(
         entangling_power(min_nonzero_perm(d)).epsilon
         == Fraction(8 * (d - 1), d * (d + 1) ** 2)
@@ -247,8 +247,8 @@ def _mc_close(perm, samples, seed):
 
 
 def test_criterion_8_monte_carlo_consistency():
-    ok = _mc_close(cnot_perm(), 100_000, seed=80)
-    ok = ok and _mc_close(r9_perm(), 100_000, seed=81)
+    ok = _mc_close(builtin_perm("cnot"), 100_000, seed=80)
+    ok = ok and _mc_close(builtin_perm("r9"), 100_000, seed=81)
     for d in (2, 3):
         gen = np.random.default_rng(810 + d)
         for idx in range(10):

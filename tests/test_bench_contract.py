@@ -26,6 +26,10 @@ CALLS = {
         {"cli.main", "catalog.builtin_perm", "latin.construct_mols",
          "latin.superimpose", "entangle.entangling_power", "entangle.q_of"},
     ),
+    "power-sized": (
+        ["power", "--builtin", "identity", "--d", "4"],
+        {"cli.main", "catalog.builtin_perm", "entangle.entangling_power", "entangle.q_of"},
+    ),
     "power-file": (
         ["power", "--file", "{perm}"],
         {"cli.main", "perm_core.parse_biperm", "entangle.entangling_power",

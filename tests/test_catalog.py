@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from permupower import ParseError, compose_with_swap, entangling_power
-from permupower.catalog import builtin_perm, cnot_perm, m_perm, r9_perm
+from permupower import DimensionTooLarge, ParseError, compose_with_swap, entangling_power
+from permupower.catalog import builtin_perm
 
 
 @pytest.mark.parametrize(
@@ -24,13 +24,19 @@ def test_builtin_powers(name, power):
 
 
 def test_m_is_cnot_times_swap():
-    assert m_perm() == compose_with_swap(cnot_perm())
+    assert builtin_perm("m") == compose_with_swap(builtin_perm("cnot"))
 
 
 def test_identity_swap_need_dimension():
     assert entangling_power(builtin_perm("swap", d=4)).epsilon == 0
     with pytest.raises(ParseError):
         builtin_perm("identity")
+
+
+@pytest.mark.parametrize("name,d", [("identity", 1000), ("swap", 216), ("mols:218", None)])
+def test_cap_checked_first(name, d):
+    with pytest.raises(DimensionTooLarge, match="cap 215"):
+        builtin_perm(name, d)
 
 
 def test_bad_names():
@@ -43,5 +49,5 @@ def test_bad_names():
 
 
 def test_case_insensitive():
-    assert builtin_perm("CNOT") == cnot_perm()
-    assert builtin_perm("R9") == r9_perm()
+    assert builtin_perm("CNOT") == builtin_perm("cnot")
+    assert builtin_perm("R9") == builtin_perm("r9")

@@ -12,6 +12,7 @@ from permupower import (
     BudgetExceeded,
     ClassHistogram,
     DegenerateDimension,
+    DimensionTooLarge,
     class_bound,
     classify_exhaustive,
     classify_sampled,
@@ -23,7 +24,7 @@ from permupower import (
     min_nonzero_perm,
 )
 from permupower import classify, golden
-from permupower.catalog import cnot_perm
+from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
 from permupower.perm_core import BLOCK_CELLS
 
@@ -277,11 +278,26 @@ class TestSampled:
         assert hist.total == 100
 
 
+@pytest.mark.parametrize(
+    "census",
+    [lambda: classify_sampled(216, 10, 0), lambda: classify_exhaustive(216, force=True)],
+    ids=["sampled", "exhaustive"],
+)
+def test_cap_checked_before_any_block(monkeypatch, census):
+    def refuse(*args):
+        raise AssertionError("drew a block above the dimension cap")
+
+    monkeypatch.setattr(classify, "random_blocks", refuse)
+    monkeypatch.setattr(classify, "lex_blocks", refuse)
+    with pytest.raises(DimensionTooLarge, match="cap 215"):
+        census()
+
+
 class TestMinNonzero:
     def test_d2_is_the_maximum_too(self):
         report = entangling_power(min_nonzero_perm(2))
         assert report.epsilon == Fraction(4, 9)
-        assert min_nonzero_perm(2) == cnot_perm()
+        assert min_nonzero_perm(2) == builtin_perm("cnot")
 
     def test_d3(self):
         assert entangling_power(min_nonzero_perm(3)).epsilon == Fraction(1, 3)

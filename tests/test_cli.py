@@ -1,19 +1,33 @@
 """Command line surface: outputs, formats, exit codes, reproducibility."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from permupower import classify_sampled, cli
+from permupower import classify_sampled, cli, perm_core
+from permupower.catalog import BUILTIN_NAMES
 from permupower.latin import parse_pair_file
-from permupower import entangling_power, parse_biperm
+from permupower import entangling_power, format_biperm, parse_biperm, random_perm
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_peak(argv, capsys):
+    """Run argv in process; return its result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestPower:
@@ -90,9 +104,22 @@ class TestPower:
         code, _, err = run(["power", "--builtin", "wat"], capsys)
         assert code == 2 and "unknown builtin" in err
 
+    def test_unknown_builtin_lists_every_name(self, capsys):
+        code, _, err = run(["power", "--builtin", "wat"], capsys)
+        assert code == 2 and err.count("error:") == 1
+        assert err.rstrip().endswith("available: " + ", ".join(BUILTIN_NAMES))
+
     def test_unsupported_order_exit_3(self, capsys):
         code, _, err = run(["power", "--builtin", "mols:6"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("d,exit_code", [(1, 3), (6, 3), (216, 1), (218, 1)])
+    def test_mols_side_exit_code(self, capsys, d, exit_code):
+        # above the cap every side exits 1, supported or not; below it an
+        # unsupported side exits 3
+        code, out, err = run(["power", "--builtin", f"mols:{d}"], capsys)
+        assert code == exit_code and out == "" and err.count("error:") == 1
+        assert ("cap 215" in err) == (exit_code == 1)
 
 
 class TestClassify:
@@ -216,6 +243,61 @@ class TestSample:
         _, out, _ = run(["sample", "--d", "4", "--seed", "8"], capsys)
         perm = parse_biperm(out)
         assert perm.d == 4
+
+    @pytest.mark.parametrize("d,count", [(32, 1500), (40, 700)])
+    def test_matches_random_perm(self, capsys, tmp_path, d, count):
+        # both counts end partway through a block of the sampler
+        rng = np.random.default_rng(9)
+        want = "\n".join(format_biperm(random_perm(d, rng)) for _ in range(count))
+        argv = ["sample", "--d", str(d), "--count", str(count), "--seed", "9"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out == want
+        out_file = tmp_path / "s.txt"
+        code, out, _ = run([*argv, "--out", str(out_file)], capsys)
+        assert code == 0 and out == "" and out_file.read_text() == want
+
+    def test_memory_does_not_grow_with_count(self, capsys, tmp_path, monkeypatch):
+        # small sampler blocks, so that both counts span many of them
+        monkeypatch.setattr(perm_core, "BLOCK_CELLS", 1 << 12)
+        argv = ["sample", "--d", "8", "--out", str(tmp_path / "s.txt"), "--count"]
+        assert run([*argv, "10"], capsys)[0] == 0  # first-call setup, untraced
+        peaks = []
+        for count in ("250", "2000"):
+            (code, _, _), peak = traced_peak([*argv, count], capsys)
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + (64 << 10)
+
+
+class TestDimensionCap:
+    """A dimension above the cap exits 1 before anything of size d is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", "--builtin", "identity", "--d", "1000"],
+            ["power", "--builtin", "swap", "--d", "1000"],
+            ["power", "--builtin", "min:1000"],
+            ["power", "--builtin", "mols:1001"],
+            ["power", "--builtin", "mols:1001", "--out", "p.json"],
+            ["mols", "--d", "1001"],
+            ["mols", "--d", "1001", "--out", "p.txt"],
+            ["verify", "theorem4", "--d", "1001"],
+            ["verify", "theorem7", "--d", "1000"],
+            ["classify", "--d", "1000", "--samples", "10"],
+            ["classify", "--d", "1000", "--exhaustive", "--force"],
+            ["sample", "--d", "1000"],
+            ["sample", "--d", "1000", "--out", "s.txt"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-").replace(":", "-") for a in argv),
+    )
+    def test_exit_1_in_bounded_memory(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (code, out, err), peak = traced_peak(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "exceeds the supported cap 215" in err
+        assert not any(tmp_path.iterdir())
+        assert peak < 1 << 20  # building any of these at d ~ 1000 takes 8-160 MiB
 
 
 class TestVerify:

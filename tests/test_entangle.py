@@ -33,7 +33,7 @@ from permupower import (
     WitnessKind,
 )
 from permupower import entangle
-from permupower.catalog import builtin_perm, cnot_perm, r9_perm
+from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
 
 from conftest import random_biperms
@@ -159,7 +159,7 @@ class TestQOf:
             assert q_of(swap_perm(d)) == d * d
 
     def test_cnot_values(self):
-        cnot = cnot_perm()
+        cnot = builtin_perm("cnot")
         assert q_of(cnot) == 8
         assert q_of(compose_with_swap(cnot)) == 4
 
@@ -299,7 +299,7 @@ class TestEntanglingPower:
             assert entangling_power(swap_perm(d)).epsilon == 0
 
     def test_r9(self):
-        report = entangling_power(r9_perm())
+        report = entangling_power(builtin_perm("r9"))
         assert (report.q_p, report.q_ps) == (9, 9)
         assert report.epsilon == Fraction(3, 4)
 
@@ -326,7 +326,7 @@ class TestEntanglingPower:
             entangling_power(identity_perm(1))
 
     def test_report_json(self):
-        payload = json.loads(entangling_power(cnot_perm()).to_json())
+        payload = json.loads(entangling_power(builtin_perm("cnot")).to_json())
         assert payload == {
             "d": 2,
             "q_p": 8,
@@ -415,7 +415,7 @@ class TestRectangleFlags:
 
 class TestBlockConditions:
     def test_r9_all_true(self):
-        assert check_block_conditions(r9_perm()).all()
+        assert check_block_conditions(builtin_perm("r9")).all()
 
     def test_identity(self):
         cond = check_block_conditions(identity_perm(3))
@@ -447,7 +447,7 @@ class TestBlockConditions:
         for d in range(2, 8):
             names = ["identity", "swap", f"min:{d}"] + [f"mols:{d}"] * (d in (3, 4, 5, 7))
             cases.setdefault(d, []).extend(builtin_perm(name, d) for name in names)
-        cases[3].append(r9_perm())
+        cases[3].append(builtin_perm("r9"))
         cases[6].append(builtin_perm("d6hat"))
         for d, perms in cases.items():
             # the conditions hold exactly when eps = d/(d+1), Q_P + Q_PS = 2d^2

@@ -34,7 +34,7 @@ from permupower import (
     unitary_of,
 )
 from permupower import oracle as oracle_module
-from permupower.catalog import builtin_perm, cnot_perm, r9_perm
+from permupower.catalog import builtin_perm
 from permupower.oracle import COMPARISON_TOL
 from permupower.perm_core import BiPerm
 
@@ -126,7 +126,8 @@ class TestOraclePower:
             assert abs(oracle_power(unitary_of(swap_perm(d)))) < TOL
 
     def test_cnot(self):
-        assert oracle_power(unitary_of(cnot_perm())) == pytest.approx(4 / 9, abs=TOL)
+        u = unitary_of(builtin_perm("cnot"))
+        assert oracle_power(u) == pytest.approx(4 / 9, abs=TOL)
 
     def test_min_nonzero_d4(self):
         u = unitary_of(min_nonzero_perm(4))
@@ -148,7 +149,7 @@ class TestOraclePower:
 
 class TestSplitEntropies:
     def test_maximum_entangler_all_seven(self):
-        ents = split_entropies(unitary_of(r9_perm()))
+        ents = split_entropies(unitary_of(builtin_perm("r9")))
         assert set(ents) == {
             "12|34", "13|24", "14|23", "1|234", "2|134", "3|124", "4|123",
         }
@@ -184,20 +185,20 @@ class TestMonteCarlo:
         assert abs(mean) < 1e-12
 
     def test_cnot(self):
-        mean, se = mc_power(unitary_of(cnot_perm()), 100_000, seed=7)
+        mean, se = mc_power(unitary_of(builtin_perm("cnot")), 100_000, seed=7)
         assert abs(mean - 4 / 9) <= 4 * se
 
     def test_r9(self):
-        mean, se = mc_power(unitary_of(r9_perm()), 100_000, seed=11)
+        mean, se = mc_power(unitary_of(builtin_perm("r9")), 100_000, seed=11)
         assert abs(mean - 0.75) <= 4 * se
 
     def test_deterministic(self):
-        u = unitary_of(cnot_perm())
+        u = unitary_of(builtin_perm("cnot"))
         assert mc_power(u, 5000, seed=3) == mc_power(u, 5000, seed=3)
 
     def test_sample_floor(self):
         with pytest.raises(InsufficientSamples):
-            mc_power(unitary_of(cnot_perm()), 1, seed=0)
+            mc_power(unitary_of(builtin_perm("cnot")), 1, seed=0)
 
     def test_tracks_oracle_on_random_perms(self):
         # statistical check; one reseeded retry tolerated before failing
@@ -220,7 +221,9 @@ class TestMonteCarloTiles:
     def test_tile_invariance(self, monkeypatch, tile):
         # 25,001 is a multiple of neither MC_CHUNK nor the default tile, so
         # the last chunk and the last default tile of each chunk are partial
-        perms = (cnot_perm(), r9_perm(), random_perm(5, np.random.default_rng(55)))
+        perms = (
+            builtin_perm("cnot"), builtin_perm("r9"), random_perm(5, np.random.default_rng(55))
+        )
         for u in map(unitary_of, perms):
             n = u.d * u.d
             reference = mc_power(u, 25_001, seed=17)
@@ -263,7 +266,7 @@ class TestRezakhani:
     def test_matches_mc_for_cnot_point(self):
         # the quarter-pi point is the controlled-not class
         exact = rezakhani_power(math.pi / 4, 0, 0)
-        mean, se = mc_power(unitary_of(cnot_perm()), 50_000, seed=21)
+        mean, se = mc_power(unitary_of(builtin_perm("cnot")), 50_000, seed=21)
         assert abs(mean - exact) <= 5 * se
 
 
