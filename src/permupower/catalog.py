@@ -6,10 +6,9 @@ names cannot drift; tests validate each entry against its known power.
 
 from __future__ import annotations
 
-from .entangle import _check_dimension
 from .errors import ParseError
 from .latin import construct_mols, special_d6_perm, superimpose
-from .perm_core import BiPerm, biperm_from_flat, identity_perm, swap_perm
+from .perm_core import BiPerm, biperm_from_flat, check_dimension_cap, identity_perm, swap_perm
 from .classify import min_nonzero_perm
 
 # d=2 controlled-not: |i j> -> |i, j + i - 1 mod 2>, flat one-line form.
@@ -67,5 +66,5 @@ def builtin_perm(name: str, d: int | None = None) -> BiPerm:
             raise ParseError(f"builtin {name!r}: dimension must be positive")
     elif d is None:
         raise ParseError(f"builtin {name!r} needs an explicit dimension")
-    _check_dimension(d)
+    check_dimension_cap(d)
     return build(d)

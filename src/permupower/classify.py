@@ -30,8 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateDimension, InsufficientSamples
-from .perm_core import ENUMERATION_MAX_D, BiPerm, identity_perm, lex_blocks, random_blocks
-from .entangle import _check_dimension, epsilon_denominator, epsilon_from_q, q_totals_batch
+from .perm_core import (
+    ENUMERATION_MAX_D, BiPerm, check_dimension_cap, identity_perm, lex_blocks, random_blocks
+)
+from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
 
 SAMPLE_CHUNK = 50_000
 
@@ -271,7 +273,7 @@ def classify_exhaustive(
     """
     if d < 2:
         raise DegenerateDimension("exhaustive census needs d >= 2")
-    _check_dimension(d)
+    check_dimension_cap(d)
     if d > ENUMERATION_MAX_D and not force:
         raise BudgetExceeded(
             f"exhaustive census at d = {d} means {d * d}! evaluations; "
@@ -323,7 +325,7 @@ def classify_sampled(
     """
     if d < 2:
         raise DegenerateDimension("sampling needs d >= 2")
-    _check_dimension(d)
+    check_dimension_cap(d)
     if samples < 2:
         raise InsufficientSamples("need at least 2 samples")
     if not 0 <= seed < SEED_BOUND:

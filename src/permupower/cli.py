@@ -44,7 +44,6 @@ from .classify import (
     classify_sampled,
     exact_mean,
 )
-from .entangle import _check_dimension  # the dimension cap test
 from .entangle import check_block_conditions, check_power_dimension, entangling_power
 from .errors import (
     BudgetExceeded,
@@ -61,7 +60,7 @@ from .latin import (
     superimpose,
 )
 from .oracle import check_oracle_dimension, mc_power, oracle_power, unitary_of
-from .perm_core import format_biperm, parse_biperm, random_blocks, random_perm
+from .perm_core import check_dimension_cap, format_biperm, parse_biperm, random_blocks, random_perm
 
 # Fixed default seed: bare invocations are reproducible by construction.
 DEFAULT_SEED = 42
@@ -465,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         args.workers = _default_workers()
     try:
         if args.d is not None:  # every subcommand takes --d
-            _check_dimension(args.d)
+            check_dimension_cap(args.d)
         return args.run(args)
     except (PermupowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,13 +26,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateDimension, DimensionTooLarge, IndexOutOfRange
-from .perm_core import BiPerm, compose_with_swap, lines_are_permutations
-
-# Supported range of d, the largest d with d^4 < 2^31.  No count overflows
-# above it (q_of sums Python integers, the batch kernel sums in int64), but
-# the CLI, the file formats and the tests are specified up to this cap.
-MAX_DIMENSION = 215
+from .errors import DegenerateDimension, IndexOutOfRange
+from .perm_core import BiPerm, check_dimension_cap, compose_with_swap, lines_are_permutations
 
 # Most rectangle-count keys the batch kernel holds at once.  Every per-tile
 # array (cell gathers, match flags, keys, run ranks) has at most this many
@@ -41,16 +36,11 @@ MAX_DIMENSION = 215
 KEY_BUDGET = 1 << 16
 
 
-def _check_dimension(d: int) -> None:
-    if d > MAX_DIMENSION:
-        raise DimensionTooLarge(f"d = {d} exceeds the supported cap {MAX_DIMENSION}")
-
-
 def check_power_dimension(d: int) -> None:
     """Raise unless entangling_power accepts dimension d: 2 <= d <= MAX_DIMENSION."""
     if d < 2:
         raise DegenerateDimension("entangling power needs d >= 2")
-    _check_dimension(d)
+    check_dimension_cap(d)
 
 
 def q_of(perm: BiPerm) -> int:
@@ -69,7 +59,7 @@ def q_of(perm: BiPerm) -> int:
     when every column has a single l value.  Memory is O(d^2) on any input,
     since the counter is dropped after each row.
     """
-    _check_dimension(perm.d)
+    check_dimension_cap(perm.d)
     d, k, l = perm.d, perm.k, perm.l
     base = d + 1
     span = d * base  # codes j * base + k_jm lie below it
@@ -145,7 +135,7 @@ def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
     indices once, outside the loop over permutations, and the kernel holds
     O(d^2 + KEY_BUDGET) elements at any d.
     """
-    _check_dimension(d)
+    check_dimension_cap(d)
     nb = flat.shape[0]
     first, second, line_cells = _line_pairs(d)
     n_lines = first.shape[0]

@@ -32,7 +32,7 @@ from .errors import (
 from .perm_core import BiPerm, biperm_to_flat
 
 COMPARISON_TOL = 1e-10  # value comparisons (formula vs oracle, entropies)
-STRUCTURE_TOL = 1e-12   # structural checks (unitarity, norms, hermiticity)
+STRUCTURE_TOL = 1e-12   # structural checks (unitarity, norms)
 
 ORACLE_MAX_D = 12
 
@@ -111,29 +111,6 @@ class PureState:
         self.amplitudes.setflags(write=False)
 
 
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.max(np.abs(entries - entries.conj().T)) > STRUCTURE_TOL:
-            raise ValueError("not Hermitian within tolerance")
-        if abs(np.trace(entries).real - 1.0) > STRUCTURE_TOL:
-            raise ValueError("trace deviates from 1")
-        if np.linalg.eigvalsh(entries).min() < -1e-10:
-            raise ValueError("negative eigenvalue beyond tolerance")
-        self.dim = entries.shape[0]
-        self.entries = entries.copy()
-        self.entries.setflags(write=False)
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.entries) ** 2).real)
-
-
 def _permutation_unitary(d: int, rows: np.ndarray) -> Unitary:
     """The 0/1 matrix with a 1 at (rows[c], c) for every column c.
 
@@ -181,12 +158,6 @@ def _cut_matrix(psi: PureState, keep: Sequence[int]) -> np.ndarray:
     return tensor.transpose(*keep0, *rest).reshape(
         int(np.prod([psi.parts[a] for a in keep0])), -1
     )
-
-
-def partial_trace(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on the 1-based subsystems in `keep`."""
-    mat = _cut_matrix(psi, keep)
-    return DensityMatrix(mat @ mat.conj().T)
 
 
 def linear_entropy(psi: PureState, cut: Sequence[int]) -> float:

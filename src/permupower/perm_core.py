@@ -15,9 +15,9 @@ ranks and each stratum into blocks that share all but their last r
 positions; `random_blocks` draws uniform permutations in blocks.
 
 Everything here is immutable after construction and safe to share across
-threads.  Parallel consumers of `enumerate_perms` or `lex_blocks` should
-split the rank interval; parallel users of `random_perm` or
-`random_blocks` must give each worker its own generator,
+threads.  Parallel consumers of `lex_blocks` should split the rank
+interval; parallel users of `random_perm` or `random_blocks` must give
+each worker its own generator,
 ``np.random.default_rng([base_seed, worker_index])``.  (With
 ``base_seed XOR worker_index``, worker 1 of seed 42 would draw the stream
 of worker 0 of seed 43.)
@@ -34,10 +34,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, NotBijection, ParseError
+from .errors import DimensionMismatch, DimensionTooLarge, NotBijection, ParseError
 
 # d^2! enumeration is only reasonable up to 9! = 362880.
 ENUMERATION_MAX_D = 3
+
+# Supported range of d, the largest d with d^4 < 2^31.  No count overflows
+# above it (q_of sums Python integers, the batch kernel sums in int64), but
+# the CLI, the file formats and the tests are specified up to this cap.
+MAX_DIMENSION = 215
 
 # Most cells (rows times d^2) in one permutation block.  Lexicographic
 # blocks hold r! rows for the largest r this allows: r = 8 at d = 3 and 4.
@@ -69,16 +74,12 @@ class BiPerm:
 
     @classmethod
     def _trusted(cls, d: int, k: tuple, l: tuple) -> "BiPerm":
-        """Construct without validation (internal, for bulk enumeration)."""
+        """Construct without validation (internal, for grids already known valid)."""
         obj = object.__new__(cls)
         obj.d = d
         obj.k = k
         obj.l = l
         return obj
-
-    def apply(self, i: int, j: int) -> tuple[int, int]:
-        """Image of cell (i, j), 1-based."""
-        return self.k[i - 1][j - 1], self.l[i - 1][j - 1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -93,6 +94,12 @@ class BiPerm:
 
     def __repr__(self) -> str:
         return f"BiPerm(d={self.d}, k={[list(r) for r in self.k]}, l={[list(r) for r in self.l]})"
+
+
+def check_dimension_cap(d: int) -> None:
+    """Raise DimensionTooLarge when d exceeds MAX_DIMENSION."""
+    if d > MAX_DIMENSION:
+        raise DimensionTooLarge(f"d = {d} exceeds the supported cap {MAX_DIMENSION}")
 
 
 def lines_are_permutations(lines: Iterable[Sequence[int]], d: int) -> bool:
@@ -187,9 +194,8 @@ def biperm_from_flat(image: Sequence[int], d: int) -> BiPerm:
             if v in seen:
                 raise NotBijection(f"token {pos}: duplicate value {v}")
             seen.add(v)
-    rows = [image[i : i + d] for i in range(0, n, d)]
-    k = tuple(tuple((v - 1) // d + 1 for v in row) for row in rows)
-    l = tuple(tuple((v - 1) % d + 1 for v in row) for row in rows)
+    k = tuple(zip(*[iter([(v - 1) // d + 1 for v in image])] * d))
+    l = tuple(zip(*[iter([(v - 1) % d + 1 for v in image])] * d))
     return BiPerm._trusted(d, k, l)
 
 
@@ -312,42 +318,17 @@ def random_blocks(n: int, count: int, rng: np.random.Generator) -> Iterator[np.n
     Blocks hold at most BLOCK_CELLS cells.  Every row is one
     `rng.permuted` draw, so the rows equal those of a single
     `rng.permuted` call over all `count` rows, whatever the block size.
+    Every block is the same buffer, refilled from the identity before each
+    draw: a consumer may change a block in place, but must not keep it past
+    its loop step.
     """
     rows = max(1, BLOCK_CELLS // n)
     base = np.arange(n, dtype=np.int32)
+    buffer = np.empty((min(rows, count), n), dtype=np.int32)
     for lo in range(0, count, rows):
-        block = np.tile(base, (min(rows, count - lo), 1))
+        block = buffer[: count - lo]
+        block[:] = base
         yield rng.permuted(block, axis=1, out=block)
-
-
-def enumerate_perms(
-    d: int,
-    start: int = 0,
-    stop: int | None = None,
-    allow_large: bool = False,
-) -> Iterator[BiPerm]:
-    """All d^2! grid permutations, lexicographic in the flat one-line form.
-
-    `start`/`stop` select a contiguous rank range, so independent workers
-    can consume disjoint slices.  Refuses d >= 4 (16! items) unless
-    `allow_large` is set.
-    """
-    if d > ENUMERATION_MAX_D and not allow_large:
-        raise BudgetExceeded(
-            f"d = {d} means {d * d}! permutations; pass allow_large to override"
-        )
-    for block in lex_blocks(d * d, start, stop):
-        # Rows of K and L repeat across a block: key each by its bytes (a
-        # byte holds every value up to the dimension cap, with no overflow at
-        # any d) and build one tuple per distinct row, shared by every BiPerm
-        rows = np.concatenate([block // d, block % d]).astype(np.uint8) + 1
-        keys = rows.reshape(-1, d).view(np.dtype((np.void, d))).ravel()
-        distinct, index = np.unique(keys, return_inverse=True)
-        shared = list(map(tuple, distinct.view(np.uint8).reshape(-1, d).tolist()))
-        row_of = shared.__getitem__
-        ks, ls = index.reshape(2, -1, d).tolist()
-        for k, l in zip(ks, ls):
-            yield BiPerm._trusted(d, tuple(map(row_of, k)), tuple(map(row_of, l)))
 
 
 def random_perm(d: int, rng: np.random.Generator) -> BiPerm:
@@ -366,7 +347,11 @@ def format_biperm(perm: BiPerm) -> str:
 
 
 def parse_biperm(text: str) -> BiPerm:
-    """Parse the two-line text form; raise ParseError with the position."""
+    """Parse the two-line text form; raise ParseError with the position.
+
+    A header d above MAX_DIMENSION raises DimensionTooLarge before line 2
+    is tokenized.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) < 2:
         raise ParseError(f"expected 2 non-empty lines, got {len(lines)}")
@@ -379,6 +364,7 @@ def parse_biperm(text: str) -> BiPerm:
         raise ParseError(f"line 1: malformed dimension {header[2:]!r}") from None
     if d < 1:
         raise ParseError(f"line 1: dimension must be positive, got {d}")
+    check_dimension_cap(d)
     image = read_int_line(lines[1], d * d, "line 2")
     try:
         return biperm_from_flat(image, d)

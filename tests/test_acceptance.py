@@ -26,7 +26,6 @@ from permupower import (
     count_orthogonal_pairs,
     detect_non_entangling,
     entangling_power,
-    enumerate_perms,
     identity_perm,
     mc_power,
     min_nonzero_perm,
@@ -40,6 +39,8 @@ from permupower import (
 )
 from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
+
+from conftest import all_biperms
 
 ORACLE_TOL = 1e-10
 MOLS_SUPPORTED = (3, 4, 5, 7, 8, 9, 11, 12)
@@ -220,7 +221,7 @@ def test_criterion_6_ols_counting(census3):
 
 def test_criterion_7_oracle_equivalence():
     worst = 0.0
-    for perm in enumerate_perms(2):
+    for perm in all_biperms(2):
         exact = float(entangling_power(perm).epsilon)
         worst = max(worst, abs(exact - oracle_power(unitary_of(perm))))
     for d in (3, 4, 5):
@@ -262,7 +263,7 @@ def test_criterion_9_zero_class_is_local():
     ok = True
     for d in (2, 3):
         witnesses = []
-        for perm in enumerate_perms(d):
+        for perm in all_biperms(d):
             witnesses.append(detect_non_entangling(perm) is not None)
         witnesses = np.array(witnesses)
 

@@ -309,9 +309,9 @@ class TestMinNonzero:
         perm = min_nonzero_perm(4)
         assert detect_non_entangling(perm) is None
         # identity everywhere but the last two cells of the bottom row
-        assert perm.apply(4, 3) == (4, 4)
-        assert perm.apply(4, 4) == (4, 3)
-        assert perm.apply(1, 1) == (1, 1)
+        assert (perm.k[3][2], perm.l[3][2]) == (4, 4)
+        assert (perm.k[3][3], perm.l[3][3]) == (4, 3)
+        assert (perm.k[0][0], perm.l[0][0]) == (1, 1)
 
 
 class TestBoundsAndStats:

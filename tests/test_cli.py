@@ -257,16 +257,19 @@ class TestSample:
         assert code == 0 and out == "" and out_file.read_text() == want
 
     def test_memory_does_not_grow_with_count(self, capsys, tmp_path, monkeypatch):
-        # small sampler blocks, so that both counts span many of them
-        monkeypatch.setattr(perm_core, "BLOCK_CELLS", 1 << 12)
-        argv = ["sample", "--d", "8", "--out", str(tmp_path / "s.txt"), "--count"]
-        assert run([*argv, "10"], capsys)[0] == 0  # first-call setup, untraced
-        peaks = []
-        for count in ("250", "2000"):
-            (code, _, _), peak = traced_peak([*argv, count], capsys)
-            assert code == 0
-            peaks.append(peak)
-        assert peaks[1] < peaks[0] + (64 << 10)
+        # small sampler blocks, so that the counts span several of them.  At
+        # d = 32 a block is 64 draws (256 KiB): 130 draws fill two and start a
+        # third, and a second live block would add 256 KiB to the peak
+        for d, cells, counts in ((8, 1 << 12, ("250", "2000")), (32, 1 << 16, ("64", "130"))):
+            monkeypatch.setattr(perm_core, "BLOCK_CELLS", cells)
+            argv = ["sample", "--d", str(d), "--out", str(tmp_path / "s.txt"), "--count"]
+            assert run([*argv, "10"], capsys)[0] == 0  # first-call setup, untraced
+            peaks = []
+            for count in counts:
+                (code, _, _), peak = traced_peak([*argv, count], capsys)
+                assert code == 0
+                peaks.append(peak)
+            assert peaks[1] < peaks[0] + (64 << 10), d
 
 
 class TestDimensionCap:
@@ -280,6 +283,7 @@ class TestDimensionCap:
             ["power", "--builtin", "min:1000"],
             ["power", "--builtin", "mols:1001"],
             ["power", "--builtin", "mols:1001", "--out", "p.json"],
+            ["power", "--file", "d1000.txt"],
             ["mols", "--d", "1001"],
             ["mols", "--d", "1001", "--out", "p.txt"],
             ["verify", "theorem4", "--d", "1001"],
@@ -293,10 +297,12 @@ class TestDimensionCap:
     )
     def test_exit_1_in_bounded_memory(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
+        # line 2 is short of the header's 10^6 values: reading it would exit 2
+        (tmp_path / "d1000.txt").write_text("d=1000\n1 2 3\n")
         (code, out, err), peak = traced_peak(argv, capsys)
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "exceeds the supported cap 215" in err
-        assert not any(tmp_path.iterdir())
+        assert [path.name for path in tmp_path.iterdir()] == ["d1000.txt"]
         assert peak < 1 << 20  # building any of these at d ~ 1000 takes 8-160 MiB
 
 

@@ -22,7 +22,6 @@ from permupower import (
     construct_mols,
     detect_non_entangling,
     entangling_power,
-    enumerate_perms,
     identity_perm,
     min_nonzero_perm,
     q_of,
@@ -36,7 +35,7 @@ from permupower import entangle
 from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
 
-from conftest import random_biperms
+from conftest import all_biperms, random_biperms
 
 
 def flat_batch(perms) -> np.ndarray:
@@ -262,7 +261,7 @@ class TestQOf:
                 assert q % 2 == (d * d) % 2
 
     def test_maximal_iff_identity_like(self):
-        for perm in enumerate_perms(2):
+        for perm in all_biperms(2):
             w = detect_non_entangling(perm)
             is_id_like = w is not None and w.kind is WitnessKind.IDENTITY_LIKE
             assert (q_of(perm) == 16) == is_id_like
@@ -278,7 +277,7 @@ class TestQOf:
             identity_perm(3),
             swap_perm(3),
         ]
-        for d, perms in ((2, list(enumerate_perms(2))), (3, d3_perms)):
+        for d, perms in ((2, list(all_biperms(2))), (3, d3_perms)):
             full = set(range(1, d + 1))
             for perm in perms:
                 rows_ok = all(set(row) == full for row in perm.k)
@@ -431,7 +430,7 @@ class TestBlockConditions:
 
     def test_equivalence_with_maximum_d2(self):
         # no d=2 permutation reaches 2/3, so all-four never holds
-        for perm in enumerate_perms(2):
+        for perm in all_biperms(2):
             assert not check_block_conditions(perm).all()
 
     def test_equivalence_on_constructions(self):
@@ -441,7 +440,7 @@ class TestBlockConditions:
             assert check_block_conditions(perm).all()
 
     def test_matches_matrix_reference(self):
-        cases = {2: list(enumerate_perms(2)), 3: random_biperms(303, 3, 2000)}
+        cases = {2: list(all_biperms(2)), 3: random_biperms(303, 3, 2000)}
         for d in (4, 5, 6):
             cases[d] = random_biperms(300 + d, d, 200)
         for d in range(2, 8):

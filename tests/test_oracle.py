@@ -22,7 +22,6 @@ from permupower import (
     mc_power,
     min_nonzero_perm,
     oracle_power,
-    partial_trace,
     random_perm,
     rezakhani_power,
     split_entropies,
@@ -38,7 +37,7 @@ from permupower.catalog import builtin_perm
 from permupower.oracle import COMPARISON_TOL
 from permupower.perm_core import BiPerm
 
-from conftest import random_biperms
+from conftest import all_biperms, random_biperms
 
 TOL = COMPARISON_TOL
 
@@ -65,12 +64,6 @@ class TestStates:
     def test_norm_enforced(self):
         with pytest.raises(UnnormalizedState):
             PureState((2, 2), [1, 1, 0, 0])
-
-    def test_partial_trace(self):
-        psi = PureState((2, 2), [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
-        rho = partial_trace(psi, (1,))
-        assert np.allclose(rho.entries, np.eye(2) / 2)
-        assert rho.purity() == pytest.approx(0.5, abs=TOL)
 
 
 class TestStateOfUnitary:
@@ -140,9 +133,7 @@ class TestOraclePower:
                 assert oracle_power(unitary_of(perm)) == pytest.approx(exact, abs=TOL)
 
     def test_exhaustive_d2(self):
-        from permupower import enumerate_perms
-
-        for perm in enumerate_perms(2):
+        for perm in all_biperms(2):
             exact = float(entangling_power(perm).epsilon)
             assert oracle_power(unitary_of(perm)) == pytest.approx(exact, abs=TOL)
 

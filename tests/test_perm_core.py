@@ -8,8 +8,8 @@ import pytest
 
 from permupower import (
     BiPerm,
-    BudgetExceeded,
     DimensionMismatch,
+    DimensionTooLarge,
     NotBijection,
     ParseError,
     WitnessKind,
@@ -19,7 +19,6 @@ from permupower import (
     compose_with_swap,
     detect_non_entangling,
     enumerate_latin_squares,
-    enumerate_perms,
     format_biperm,
     identity_perm,
     parse_biperm,
@@ -27,7 +26,10 @@ from permupower import (
     swap_perm,
 )
 
-from conftest import random_biperms
+from permupower import perm_core
+from permupower.perm_core import lex_blocks
+
+from conftest import all_biperms, random_biperms
 
 
 class TestBiPermFromFlat:
@@ -147,9 +149,9 @@ class TestBasicPerms:
         assert p.l == ((1, 1), (2, 2))
         assert swap_perm(3).k[0] == (1, 2, 3)
 
-    def test_apply(self):
-        assert swap_perm(3).apply(1, 3) == (3, 1)
-        assert identity_perm(4).apply(2, 3) == (2, 3)
+    def test_cell_images(self):
+        assert (swap_perm(3).k[0][2], swap_perm(3).l[0][2]) == (3, 1)
+        assert (identity_perm(4).k[1][2], identity_perm(4).l[1][2]) == (2, 3)
 
 
 class TestComposeWithSwap:
@@ -170,9 +172,9 @@ class TestComposeWithSwap:
     def test_pointwise_relation(self, rng):
         perm = random_perm(5, rng)
         ps = compose_with_swap(perm)
-        for i in range(1, 6):
-            for j in range(1, 6):
-                assert ps.apply(i, j) == perm.apply(j, i)
+        for i in range(5):
+            for j in range(5):
+                assert (ps.k[i][j], ps.l[i][j]) == (perm.k[j][i], perm.l[j][i])
 
 
 class TestDetectNonEntangling:
@@ -214,74 +216,66 @@ class TestDetectNonEntangling:
 
     def test_count_over_all_d2(self):
         hits = sum(
-            1 for p in enumerate_perms(2) if detect_non_entangling(p) is not None
+            1 for p in all_biperms(2) if detect_non_entangling(p) is not None
         )
         assert hits == 2 * math.factorial(2) ** 2  # 8
 
 
+def lex_rows(n: int, start: int = 0, stop: int | None = None) -> list[tuple[int, ...]]:
+    """The rows lex_blocks yields for the ranks [start, stop), as tuples."""
+    return [tuple(row) for block in lex_blocks(n, start, stop) for row in block.tolist()]
+
+
 class TestEnumeration:
+    """lex_blocks against itertools.permutations, which lists range(n) in
+    lexicographic order."""
+
     def test_d2_count_and_order(self):
-        perms = list(enumerate_perms(2))
-        assert len(perms) == 24
-        assert perms[0] == identity_perm(2)
-        flats = [biperm_to_flat(p) for p in perms]
-        assert flats == sorted(flats)
+        assert lex_rows(4) == list(itertools.permutations(range(4)))
+        assert next(all_biperms(2)) == identity_perm(2)
 
     def test_d3_count(self):
-        assert sum(1 for _ in enumerate_perms(3)) == math.factorial(9)
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceeded):
-            next(enumerate_perms(4))
-        first = next(enumerate_perms(4, allow_large=True))
-        assert first == identity_perm(4)
+        assert sum(len(block) for block in lex_blocks(9)) == math.factorial(9)
 
     def test_range_split(self):
-        whole = list(enumerate_perms(2))
-        parts = list(enumerate_perms(2, 0, 8)) + list(enumerate_perms(2, 8, 24))
-        assert parts == whole
-        mid = list(enumerate_perms(2, 5, 9))
-        assert mid == whole[5:9]
+        whole = lex_rows(4)
+        assert lex_rows(4, 0, 8) + lex_rows(4, 8, 24) == whole
+        assert lex_rows(4, 5, 9) == whole[5:9]
 
     def test_range_crosses_stratum(self):
         # stratum s of d = 3 holds the ranks [s, s + 1) * 8!
         lo, hi = 3 * 40320 - 50, 3 * 40320 + 70
-        want = itertools.islice(itertools.permutations(range(1, 10)), lo, hi)
-        assert list(enumerate_perms(3, lo, hi)) == [biperm_from_flat(p, 3) for p in want]
+        want = itertools.islice(itertools.permutations(range(9)), lo, hi)
+        assert lex_rows(9, lo, hi) == list(want)
 
     def test_d4_crosses_block(self):
         # d = 4 blocks hold the 8! permutations sharing an 8-symbol prefix
         count = 40320 + 100
-        got = itertools.islice(enumerate_perms(4, allow_large=True), count)
-        want = itertools.islice(itertools.permutations(range(1, 17)), count)
-        assert list(got) == [biperm_from_flat(p, 4) for p in want]
-        mid = enumerate_perms(4, 40317, 40323, allow_large=True)
-        want = itertools.islice(itertools.permutations(range(1, 17)), 40317, 40323)
-        assert list(mid) == [biperm_from_flat(p, 4) for p in want]
+        want = itertools.islice(itertools.permutations(range(16)), count)
+        assert lex_rows(16, 0, count) == list(want)
+        want = itertools.islice(itertools.permutations(range(16)), 40317, 40323)
+        assert lex_rows(16, 40317, 40323) == list(want)
 
     def test_d4_last_ranks(self):
-        # the last three of 16! permutations end in 2 3 1, 3 1 2, 3 2 1
+        # the last three of 16! permutations end in 1 2 0, 2 0 1, 2 1 0
         total = math.factorial(16)
-        head = tuple(range(16, 3, -1))
-        want = [head + (2, 3, 1), head + (3, 1, 2), head + (3, 2, 1)]
-        got = enumerate_perms(4, total - 3, total, allow_large=True)
-        assert list(got) == [biperm_from_flat(p, 4) for p in want]
+        head = tuple(range(15, 2, -1))
+        want = [head + (1, 2, 0), head + (2, 0, 1), head + (2, 1, 0)]
+        assert lex_rows(16, total - 3, total) == want
 
     def test_d5_late_range(self):
-        # the last 8! ranks of 25! share the prefix 25 ... 9; the rank before
-        # them ends the block with prefix 25 ... 10 8
+        # the last 8! ranks of 25! share the prefix 24 ... 8; the rank before
+        # them ends the block with prefix 24 ... 9 7
         total = math.factorial(25)
         lo = total - 40320
         want = [
-            tuple(range(25, 9, -1)) + (8, 9, 7, 6, 5, 4, 3, 2, 1),
-            tuple(range(25, 8, -1)) + (1, 2, 3, 4, 5, 6, 7, 8),
-            tuple(range(25, 8, -1)) + (1, 2, 3, 4, 5, 6, 8, 7),
+            tuple(range(24, 8, -1)) + (7, 8, 6, 5, 4, 3, 2, 1, 0),
+            tuple(range(24, 7, -1)) + (0, 1, 2, 3, 4, 5, 6, 7),
+            tuple(range(24, 7, -1)) + (0, 1, 2, 3, 4, 5, 7, 6),
         ]
-        got = enumerate_perms(5, lo - 1, lo + 2, allow_large=True)
-        assert list(got) == [biperm_from_flat(p, 5) for p in want]
-        last = enumerate_perms(5, total - 2, total, allow_large=True)
-        want = [tuple(range(25, 3, -1)) + (3, 1, 2), tuple(range(25, 0, -1))]
-        assert list(last) == [biperm_from_flat(p, 5) for p in want]
+        assert lex_rows(25, lo - 1, lo + 2) == want
+        want = [tuple(range(24, 2, -1)) + (2, 0, 1), tuple(range(24, -1, -1))]
+        assert lex_rows(25, total - 2, total) == want
 
 
 class TestRandomPerm:
@@ -320,6 +314,16 @@ class TestSerialization:
     def test_format_shape(self):
         text = format_biperm(identity_perm(2))
         assert text == "d=2\n1 2 3 4\n"
+
+    def test_cap_checked_before_line_2(self, monkeypatch):
+        assert parse_biperm(format_biperm(swap_perm(215))) == swap_perm(215)
+
+        def refuse(*args):
+            raise AssertionError("tokenized line 2 above the dimension cap")
+
+        monkeypatch.setattr(perm_core, "read_int_line", refuse)
+        with pytest.raises(DimensionTooLarge, match="^d = 216 exceeds the supported cap 215$"):
+            parse_biperm("d=216\n" + "1 " * 216**2)
 
     @pytest.mark.parametrize(
         "text,fragment",

@@ -7,7 +7,7 @@ import permupower
 
 PUBLIC_NAMES = [
     "BiPerm", "BlockConditions", "BudgetExceeded", "ClassHistogram",
-    "DegenerateDimension", "DensityMatrix", "DimensionMismatch", "DimensionTooLarge",
+    "DegenerateDimension", "DimensionMismatch", "DimensionTooLarge",
     "IndexOutOfRange", "InsufficientSamples", "LatinSquare", "NonEntanglingWitness",
     "NotBijection", "NotOrthogonal", "NotUnitary", "OrthogonalPair",
     "ParameterOrderViolation", "ParseError", "PermupowerError", "PowerReport",
@@ -16,16 +16,16 @@ PUBLIC_NAMES = [
     "biperm_to_flat", "builtin_perm", "check_block_conditions", "class_bound",
     "classify_exhaustive", "classify_sampled", "compose_with_swap", "construct_mols",
     "count_orthogonal_pairs", "detect_non_entangling", "e0_stats", "entangling_power",
-    "enumerate_latin_squares", "enumerate_perms", "epsilon_from_q", "exact_mean",
+    "enumerate_latin_squares", "epsilon_from_q", "exact_mean",
     "format_biperm", "identity_perm", "is_latin", "linear_entropy", "mc_power", "min_nonzero_perm",
-    "oracle_power", "parse_biperm", "partial_trace", "q_of", "random_perm",
+    "oracle_power", "parse_biperm", "q_of", "random_perm",
     "rectangle_flags", "rezakhani_power", "special_d6_perm", "split_entropies",
     "state_of_unitary", "superimpose", "swap_perm", "swap_unitary", "unitary_of",
 ]
 
 # Module-level helpers that other modules of the package share.
 INTERNAL_HELPERS = {
-    "lines_are_permutations", "pairs_cover_grid", "read_int_line",
+    "lines_are_permutations", "pairs_cover_grid", "read_int_line", "check_dimension_cap",
     "check_power_dimension", "check_oracle_dimension", "epsilon_denominator",
     "q_totals_batch", "lex_blocks", "random_blocks",
 }
