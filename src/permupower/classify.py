@@ -89,16 +89,6 @@ def exact_mean(d: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class SampleStats:
-    """Empirical mean and standard error of the sampled entangling power."""
-
-    mean_epsilon: float
-    std_error: float
-    samples: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class ClassHistogram:
     """Exact map from entangling power to permutation count."""
 
@@ -122,14 +112,23 @@ class ClassHistogram:
         if self.mode == "exhaustive" and self.total != math.factorial(self.d**2):
             raise ValueError("exhaustive total must be d^2!")
 
-    def as_dict(self) -> dict[Fraction, int]:
-        return dict(self.classes)
-
     def mean(self) -> Fraction | None:
         """Exact mean power over the census (None when empty)."""
         if self.total == 0:
             return None
         return sum((k * c for k, c in self.classes), Fraction(0)) / self.total
+
+    def std_error(self) -> float | None:
+        """Standard error of the mean power (None below 2 members).
+
+        The sample variance sum (k - mean)^2 c / (total - 1) is summed
+        exactly over the classes; only sqrt(variance / total) is a float.
+        """
+        if self.total < 2:
+            return None
+        mean = self.mean()
+        var = sum(((k - mean) ** 2 * c for k, c in self.classes), Fraction(0))
+        return math.sqrt(var / (self.total - 1) / self.total)
 
     def to_json_dict(self) -> dict:
         mean = self.mean()
@@ -315,13 +314,13 @@ def classify_sampled(
     samples: int,
     seed: int,
     workers: int = 1,
-) -> tuple[ClassHistogram, SampleStats]:
+) -> ClassHistogram:
     """Census of `samples` uniform random permutations.
 
     The observed class list is a lower bound on the true class count.
-    Accumulation is exact (integer rectangle totals), so the histogram and
-    the reported moments are reproducible bit-for-bit for a given seed,
-    independent of worker count.
+    Accumulation is exact (integer rectangle totals), so the histogram,
+    and the mean and standard error read off it, are reproducible
+    bit-for-bit for a given seed, independent of worker count.
     """
     if d < 2:
         raise DegenerateDimension("sampling needs d >= 2")
@@ -337,10 +336,4 @@ def classify_sampled(
     merged: Counter = Counter()
     for counts in _run_units(_sample_chunk_q, chunks, workers):
         merged.update(counts)
-
-    sum_q = sum(q * c for q, c in merged.items())
-    sum_q2 = sum(q * q * c for q, c in merged.items())
-    var_q = max(0.0, (sum_q2 - sum_q * sum_q / samples) / (samples - 1))
-    std_error = math.sqrt(var_q) / epsilon_denominator(d) / math.sqrt(samples)
-    hist = _histogram_from_q_counts(d, "sampled", merged, seed=seed)
-    return hist, SampleStats(float(hist.mean()), std_error, samples, seed)
+    return _histogram_from_q_counts(d, "sampled", merged, seed=seed)

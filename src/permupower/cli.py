@@ -9,13 +9,14 @@ Exit codes:
   1  any other invalid request, e.g. `classify --samples` below 2, d = 1
      where the entangling power is undefined, or a `--d` or builtin
      dimension above the cap of 215 (every command, checked first)
-  2  unparsable input: a malformed or unreadable file, an unknown builtin,
-     or a bad argument (`--seed` outside [0, 2^32); `--d`, `--workers`,
-     `--count` or `verify --samples` below 1; a `power --d` other than the
-     permutation's d; a flag the command does not read, such as `--format`
-     outside `power` and `classify`, `--seed` or `--workers` on `mols`,
-     `--workers` on `sample`, `--out` on `verify`, or `classify --samples`
-     with `--checkpoint-dir` or `--force`; a `--format` it does not write)
+  2  unparsable input: a malformed, unreadable or non-UTF-8 file, an
+     unknown builtin, or a bad argument (`--seed` outside [0, 2^32);
+     `--d`, `--workers`, `--count` or `verify --samples` below 1; a
+     `power --d` other than the permutation's d; a flag the command does
+     not read, such as `--format` outside `power` and `classify`, `--seed`
+     or `--workers` on `mols`, `--workers` on `sample`, `--out` on
+     `verify`, or `classify --samples` with `--checkpoint-dir` or
+     `--force`; a `--format` it does not write)
   3  unsupported Latin square order
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
      overrides it), or the dense oracle's cap of d <= 12 on
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -72,22 +72,11 @@ EXIT_VERIFY = 5
 # Exit code per error type.  The first match wins, so PermupowerError, the
 # base of the other package errors, comes last.
 _EXIT_CODES = (
-    (ParseError, EXIT_PARSE),
-    (OSError, EXIT_PARSE),
+    ((ParseError, OSError, UnicodeDecodeError), EXIT_PARSE),
     ((UnsupportedOrder, NotOrthogonal), 3),
     (BudgetExceeded, 4),
     (PermupowerError, 1),
 )
-
-
-def _default_workers() -> int:
-    env = os.environ.get("PERMUPOWER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,8 +111,7 @@ _COMMON = {
         help=f"base seed for random draws, in [0, 2^32) (default {DEFAULT_SEED})",
     ),
     "workers": dict(
-        type=_int_at_least(1), default=None,
-        help="parallel workers (default: PERMUPOWER_THREADS or 1)",
+        type=_int_at_least(1), default=1, help="parallel worker processes (default 1)",
     ),
     "out": dict(type=Path, default=None, help="output file"),
 }
@@ -236,7 +224,8 @@ def cmd_power(args: argparse.Namespace) -> int:
     if args.builtin is not None:
         perm = builtin_perm(args.builtin, args.d)
     else:
-        perm = parse_biperm(args.file.read_text())
+        with args.file.open() as lines:
+            perm = parse_biperm(lines)
     if args.d is not None and args.d != perm.d:
         raise ParseError(f"--d {args.d} contradicts the permutation's dimension {perm.d}")
     report = entangling_power(perm)
@@ -261,9 +250,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             d, workers=args.workers, force=args.force,
             checkpoint_dir=args.checkpoint_dir,
         )
-        stats = None
     else:
-        hist, stats = classify_sampled(d, args.samples, args.seed, workers=args.workers)
+        hist = classify_sampled(d, args.samples, args.seed, workers=args.workers)
 
     payload = hist.to_csv() if args.format == "csv" else hist.to_json() + "\n"
     out = args.out
@@ -275,12 +263,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     print(f"classes   {len(hist.classes)} (bound {class_bound(d)})")
     print(f"total     {hist.total}")
     print(f"mean      {mean} = {float(mean):.6f}")
-    if stats is not None:
-        print(f"sampled   mean {stats.mean_epsilon:.6f} +- {stats.std_error:.2g} "
-              f"(seed {stats.seed})")
+    if hist.mode == "sampled":
+        se = hist.std_error()
+        print(f"sampled   mean {float(mean):.6f} +- {se:.2g} (seed {hist.seed})")
         exact = exact_mean(d)
-        z = (f"{float(mean - exact) / stats.std_error:+.2f}" if stats.std_error > 0
-             else "undefined (SE 0)")
+        z = f"{float(mean - exact) / se:+.2f}" if se > 0 else "undefined (SE 0)"
         print(f"exact     mean {exact} = {float(exact):.6f}, z = {z}")
     print(f"written   {out}")
     return EXIT_OK
@@ -460,13 +447,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "workers" in vars(args) and args.workers is None:
-        args.workers = _default_workers()
     try:
         if args.d is not None:  # every subcommand takes --d
             check_dimension_cap(args.d)
         return args.run(args)
-    except (PermupowerError, OSError) as exc:
+    except (PermupowerError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

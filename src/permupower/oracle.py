@@ -150,70 +150,55 @@ def state_of_unitary(u: Unitary) -> PureState:
     return PureState((d, d, d, d), amp.reshape(-1))
 
 
-def _cut_matrix(psi: PureState, keep: Sequence[int]) -> np.ndarray:
-    """Amplitudes as a matrix, rows over the 1-based parts in `keep`."""
-    keep0 = [k - 1 for k in keep]
-    rest = [a for a in range(len(psi.parts)) if a not in keep0]
-    tensor = psi.amplitudes.reshape(psi.parts)
-    return tensor.transpose(*keep0, *rest).reshape(
-        int(np.prod([psi.parts[a] for a in keep0])), -1
-    )
+def _cut_entropy(tensor: np.ndarray, keep: Sequence[int]) -> float:
+    """Linear entropy of a normalized amplitude tensor across `keep` | rest.
+
+    `keep` lists 0-based axes.  The purity is that of the Gram matrix of
+    the cut; the tensor may be float64 or complex.  Normalized by D/(D-1)
+    with D the smaller side's dimension.
+    """
+    rest = [a for a in range(tensor.ndim) if a not in keep]
+    rows = int(np.prod([tensor.shape[a] for a in keep]))
+    mat = tensor.transpose(*keep, *rest).reshape(rows, -1)
+    gram = mat @ mat.conj().T
+    purity = float(np.vdot(gram, gram).real)
+    dim = min(mat.shape)
+    return dim / (dim - 1) * (1.0 - purity)
 
 
 def linear_entropy(psi: PureState, cut: Sequence[int]) -> float:
     """Linear entropy across the bipartition (`cut` | complement).
 
-    Normalized by D/(D-1) with D the smaller side's dimension: 0 for
-    product states, 1 for maximally entangled ones.
+    `cut` lists 1-based parts.  Normalized by D/(D-1) with D the smaller
+    side's dimension: 0 for product states, 1 for maximally entangled ones.
     """
     norm = float(np.linalg.norm(psi.amplitudes))
     if abs(norm - 1.0) > STRUCTURE_TOL:
         raise UnnormalizedState(f"norm {norm} deviates from 1")
-    mat = _cut_matrix(psi, cut)
-    gram = mat @ mat.conj().T
-    purity = float(np.sum(np.abs(gram) ** 2).real)
-    dim = min(mat.shape)
-    return dim / (dim - 1) * (1.0 - purity)
-
-
-def _entropy_12(matrix: np.ndarray, d: int) -> float:
-    """Linear entropy across 12|34 of the state of an operator matrix.
-
-    The cut matrix has rows (k, i) and columns (l, m), as in
-    state_of_unitary.  Its entries are the operator's, not divided by d;
-    the purity is scaled by 1/d^4 instead.
-    """
-    n = d * d
-    mat = matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
-    gram = mat @ mat.conj().T
-    purity = float(np.vdot(gram, gram).real) / (n * n)
-    return n / (n - 1) * (1.0 - purity)
+    return _cut_entropy(psi.amplitudes.reshape(psi.parts), [k - 1 for k in cut])
 
 
 def oracle_power(u: Unitary) -> float:
     """Entangling power from the two state entropies (dense route).
 
-    US is U with its columns permuted (column i*d + m of US is column
-    m*d + i of U), so it needs no matrix product and no second check.  A
-    matrix with no imaginary part, as every permutation's, is handled as
-    float64.
+    The entropy of |US> across 12|34 is that of |U> across 14|23, so both
+    are read off U's own state, with no second matrix.  A matrix with no
+    imaginary part, as every permutation's, is handled as float64.
     """
     d = u.d
-    n = d * d
     matrix = u.matrix if u.matrix.imag.any() else u.matrix.real
-    us = matrix.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
-    s_u = _entropy_12(matrix, d)
-    s_us = _entropy_12(us, d)
+    # the amplitudes of state_of_unitary, in U's own dtype
+    tensor = matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3) / d
+    s_u = _cut_entropy(tensor, _CUT_NAMES["12|34"])
+    s_us = _cut_entropy(tensor, _CUT_NAMES["14|23"])
     return d / (d + 1) * (s_u + s_us - 1.0)
 
 
 def split_entropies(u: Unitary) -> dict[str, float]:
     """Linear entropy of |U> across all seven bipartitions of the 4 parties."""
     psi = state_of_unitary(u)
-    return {
-        name: linear_entropy(psi, tuple(a + 1 for a in axes))
-        for name, axes in _CUT_NAMES.items()
-    }
+    tensor = psi.amplitudes.reshape(psi.parts)
+    return {name: _cut_entropy(tensor, axes) for name, axes in _CUT_NAMES.items()}
 
 
 def mc_power(u: Unitary, samples: int, seed: int) -> tuple[float, float]:

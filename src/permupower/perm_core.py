@@ -25,6 +25,7 @@ of worker 0 of seed 43.)
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import itertools
@@ -346,16 +347,9 @@ def format_biperm(perm: BiPerm) -> str:
     return f"d={perm.d}\n" + " ".join(map(str, biperm_to_flat(perm))) + "\n"
 
 
-def parse_biperm(text: str) -> BiPerm:
-    """Parse the two-line text form; raise ParseError with the position.
-
-    A header d above MAX_DIMENSION raises DimensionTooLarge before line 2
-    is tokenized.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if len(lines) < 2:
-        raise ParseError(f"expected 2 non-empty lines, got {len(lines)}")
-    header = lines[0].strip()
+def _header_dimension(header: str) -> int:
+    """The d of a 'd=<integer>' header line; ParseError when malformed."""
+    header = header.strip()
     if not header.startswith("d="):
         raise ParseError("line 1: expected 'd=<integer>'")
     try:
@@ -364,8 +358,30 @@ def parse_biperm(text: str) -> BiPerm:
         raise ParseError(f"line 1: malformed dimension {header[2:]!r}") from None
     if d < 1:
         raise ParseError(f"line 1: dimension must be positive, got {d}")
-    check_dimension_cap(d)
-    image = read_int_line(lines[1], d * d, "line 2")
+    return d
+
+
+def parse_biperm(text: str | Iterable[str]) -> BiPerm:
+    """Parse the two-line text form; raise ParseError with the position.
+
+    `text` is the form itself or its lines, such as an open file, which is
+    read no further than the second non-empty line.  A header d above
+    MAX_DIMENSION raises DimensionTooLarge before line 2 is read.
+    """
+    chunks = [text] if isinstance(text, str) else text
+    # each chunk is split as the whole text would be: str.splitlines also
+    # breaks at \f, \x1c and others, where a file's line iterator does not
+    filled = (ln for chunk in chunks for ln in chunk.splitlines() if ln.strip() != "")
+    header = next(filled, "")
+    # the cap is checked before line 2 is read; other header errors are
+    # reported only once line 2 is known to exist
+    with contextlib.suppress(ParseError):
+        check_dimension_cap(_header_dimension(header))
+    body = next(filled, None)
+    if body is None:
+        raise ParseError(f"expected 2 non-empty lines, got {int(header != '')}")
+    d = _header_dimension(header)
+    image = read_int_line(body, d * d, "line 2")
     try:
         return biperm_from_flat(image, d)
     except NotBijection as exc:

@@ -185,18 +185,18 @@ class TestExhaustive:
 
 class TestSampled:
     def test_d2_mean_near_exact(self):
-        _, stats = classify_sampled(2, 10_000, seed=42)
-        assert abs(stats.mean_epsilon - 8 / 27) <= 5 * stats.std_error
+        hist = classify_sampled(2, 10_000, seed=42)
+        assert abs(hist.mean() - Fraction(8, 27)) <= 5 * hist.std_error()
 
     def test_d3_mean_near_exact(self):
-        _, stats = classify_sampled(3, 100_000, seed=42)
-        assert abs(stats.mean_epsilon - 31 / 56) <= 5 * stats.std_error
+        hist = classify_sampled(3, 100_000, seed=42)
+        assert abs(hist.mean() - Fraction(31, 56)) <= 5 * hist.std_error()
 
     def test_histogram_fields(self):
-        hist, stats = classify_sampled(3, 5_000, seed=9)
+        hist = classify_sampled(3, 5_000, seed=9)
         assert hist.mode == "sampled"
-        assert hist.total == 5_000 == stats.samples
-        assert hist.seed == 9 == stats.seed
+        assert hist.total == 5_000
+        assert hist.seed == 9
         assert all(c > 0 for _, c in hist.classes)
         # observed classes are a lower bound on the true count
         assert len(hist.classes) <= 15
@@ -204,34 +204,30 @@ class TestSampled:
     def test_worker_count_invariance(self):
         one = classify_sampled(3, 120_000, seed=5, workers=1)
         many = classify_sampled(3, 120_000, seed=5, workers=3)
-        assert one[0].to_json() == many[0].to_json()
-        assert one[1] == many[1]
+        assert one.to_json() == many.to_json()
+        assert one.std_error() == many.std_error()
 
     def test_seed_sensitivity(self):
-        a, _ = classify_sampled(2, 2_000, seed=1)
-        b, _ = classify_sampled(2, 2_000, seed=2)
+        a = classify_sampled(2, 2_000, seed=1)
+        b = classify_sampled(2, 2_000, seed=2)
         assert a.to_json() != b.to_json()
-
-    def test_exact_sample_mean_matches_stats(self):
-        hist, stats = classify_sampled(3, 20_000, seed=3)
-        assert float(hist.mean()) == pytest.approx(stats.mean_epsilon, abs=1e-12)
 
     def test_mean_is_exact_histogram_mean(self):
         # the mean 0.7393875 is a decimal tie at six places; evaluated in
         # floats as (d^4 + d^2 - mean Q) / denominator it reads
         # 0.7393875000000001, and `classify` printed 0.739387 for the
         # exact mean and 0.739388 for the sampled one
-        hist, stats = classify_sampled(5, 2_000, seed=17)
+        hist = classify_sampled(5, 2_000, seed=17)
         assert hist.mean() == Fraction(59151, 80000)
-        assert stats.mean_epsilon == float(hist.mean())
+        assert f"{float(hist.mean()):.6f}" == "0.739387"
 
     def test_std_error_from_histogram(self):
         # two chunks, so the moments come from a merged histogram; the
-        # tolerance covers the float64 cancellation in the reported value
-        hist, stats = classify_sampled(3, 60_000, seed=11)
+        # variance is exact, so only the final square root rounds
+        hist = classify_sampled(3, 60_000, seed=11)
         n, mean = hist.total, hist.mean()
         var = sum((k - mean) ** 2 * c for k, c in hist.classes) / (n - 1)
-        assert stats.std_error == pytest.approx(math.sqrt(var / n), rel=1e-9)
+        assert hist.std_error() == math.sqrt(var / n)
 
     def test_chunk_streams_independent(self):
         # chunk 1 of seed s must not replay chunk 0 of seed s + 1
@@ -274,7 +270,7 @@ class TestSampled:
         for seed in (-1, 2**32, 2**32 + 42):
             with pytest.raises(ValueError, match="seed"):
                 classify_sampled(2, 100, seed=seed)
-        hist, _ = classify_sampled(2, 100, seed=2**32 - 1)
+        hist = classify_sampled(2, 100, seed=2**32 - 1)
         assert hist.total == 100
 
 
@@ -326,6 +322,16 @@ class TestBoundsAndStats:
         assert frac == Fraction(72, math.factorial(9))
         assert e0_stats(4)[0] == 1152
         assert e0_stats(4)[1] == Fraction(1152, math.factorial(16))
+
+    def test_std_error_exact(self):
+        # Var = (8 (8/27)^2 + 16 (4/27)^2) / 23 = 768 / (729 * 23), over n = 24
+        assert classify_exhaustive(2).std_error() == math.sqrt(Fraction(32, 729 * 23))
+        one_class = ClassHistogram(d=2, mode="sampled", classes=((Fraction(0), 2),), total=2)
+        assert one_class.std_error() == 0.0
+        for total in (0, 1):
+            classes = ((Fraction(0), total),) if total else ()
+            hist = ClassHistogram(d=2, mode="sampled", classes=classes, total=total)
+            assert hist.std_error() is None
 
     def test_e0_fraction_shrinks(self):
         fractions = [e0_stats(d)[1] for d in range(2, 8)]

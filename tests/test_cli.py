@@ -100,6 +100,18 @@ class TestPower:
         code, _, err = run(["power", "--file", str(tmp_path / "nope")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["power", "--file"], ["mols", "--d", "3", "--out", "p.txt", "--table"]],
+        ids=["power", "mols"],
+    )
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.txt").write_bytes(b"d=2\n1 2 3 \xff\n")
+        code, out, err = run([*argv, "bad.txt"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["bad.txt"]
+
     def test_unknown_builtin_exit_2(self, capsys):
         code, _, err = run(["power", "--builtin", "wat"], capsys)
         assert code == 2 and "unknown builtin" in err
@@ -152,12 +164,15 @@ class TestClassify:
         assert code == 4 and "force" in err
 
     def test_sampled_reproducible_across_workers(self, capsys, tmp_path):
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        base = ["classify", "--d", "3", "--samples", "60000", "--seed", "11"]
-        assert run(base + ["--workers", "1", "--out", str(out1)], capsys)[0] == 0
-        assert run(base + ["--workers", "3", "--out", str(out2)], capsys)[0] == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        # the histogram file and the whole stdout, `sampled` and `exact` lines included
+        out = tmp_path / "c.json"
+        base = ["classify", "--d", "3", "--samples", "60000", "--seed", "11", "--out", str(out)]
+        results = []
+        for workers in ("1", "3"):
+            code, stdout, _ = run(base + ["--workers", workers], capsys)
+            results.append((code, stdout, out.read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and "z = " in results[0][1]
 
     def test_sampled_prints_z_against_exact_mean(self, capsys, tmp_path):
         out_file = tmp_path / "census.json"
@@ -166,8 +181,8 @@ class TestClassify:
              "--out", str(out_file)], capsys,
         )
         assert code == 0
-        hist, stats = classify_sampled(4, 20000, 3)
-        z = float(hist.mean() - Fraction(7608, 11375)) / stats.std_error
+        hist = classify_sampled(4, 20000, 3)
+        z = float(hist.mean() - Fraction(7608, 11375)) / hist.std_error()
         assert f"exact     mean 7608/11375 = 0.668835, z = {z:+.2f}\n" in out
         assert out_file.read_text() == hist.to_json() + "\n"
 
@@ -284,6 +299,7 @@ class TestDimensionCap:
             ["power", "--builtin", "mols:1001"],
             ["power", "--builtin", "mols:1001", "--out", "p.json"],
             ["power", "--file", "d1000.txt"],
+            ["power", "--file", "d1000-full.txt"],
             ["mols", "--d", "1001"],
             ["mols", "--d", "1001", "--out", "p.txt"],
             ["verify", "theorem4", "--d", "1001"],
@@ -297,12 +313,16 @@ class TestDimensionCap:
     )
     def test_exit_1_in_bounded_memory(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        # line 2 is short of the header's 10^6 values: reading it would exit 2
-        (tmp_path / "d1000.txt").write_text("d=1000\n1 2 3\n")
+        # d1000.txt: line 2 is short of the header's 10^6 values, so reading
+        # it would exit 2; d1000-full.txt holds all of them, 6.9 MB
+        names = sorted(set(argv) & {"d1000.txt", "d1000-full.txt"})
+        for name in names:
+            line2 = "1 2 3" if name == "d1000.txt" else " ".join(map(str, range(1, 10**6 + 1)))
+            (tmp_path / name).write_text(f"d=1000\n{line2}\n")
         (code, out, err), peak = traced_peak(argv, capsys)
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "exceeds the supported cap 215" in err
-        assert [path.name for path in tmp_path.iterdir()] == ["d1000.txt"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
         assert peak < 1 << 20  # building any of these at d ~ 1000 takes 8-160 MiB
 
 
@@ -466,13 +486,9 @@ class TestArgumentBoundary:
 
 
 class TestConfig:
-    def test_env_workers(self, monkeypatch):
-        monkeypatch.setenv("PERMUPOWER_THREADS", "6")
-        assert cli._default_workers() == 6
-        monkeypatch.setenv("PERMUPOWER_THREADS", "junk")
-        assert cli._default_workers() == 1
-        monkeypatch.delenv("PERMUPOWER_THREADS")
-        assert cli._default_workers() == 1
+    def test_one_worker_by_default(self):
+        args = cli.build_parser().parse_args(["classify", "--d", "2", "--exhaustive"])
+        assert args.workers == 1
 
     def test_default_seed_reproducible(self, capsys):
         _, out1, _ = run(["sample", "--d", "3"], capsys)

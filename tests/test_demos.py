@@ -18,7 +18,6 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("PERMUPOWER_THREADS", None)
     proc = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,

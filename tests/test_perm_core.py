@@ -1,5 +1,6 @@
 """Grid permutation representation, enumeration, and structure detection."""
 
+import io
 import itertools
 import math
 
@@ -324,6 +325,21 @@ class TestSerialization:
         monkeypatch.setattr(perm_core, "read_int_line", refuse)
         with pytest.raises(DimensionTooLarge, match="^d = 216 exceeds the supported cap 215$"):
             parse_biperm("d=216\n" + "1 " * 216**2)
+
+    def test_lines_read_lazily(self):
+        # an iterable of lines is read up to line 2, or only to line 1 when
+        # the header is above the cap
+        def lines(*given):
+            yield from given
+            raise AssertionError("read past the lines the parser needs")
+
+        text = format_biperm(swap_perm(3))
+        assert parse_biperm(lines("\n", *text.splitlines(keepends=True))) == swap_perm(3)
+        assert parse_biperm(io.StringIO(text + "trailing junk\n")) == swap_perm(3)
+        # a form feed ends a line of the text, so also of the file's lines
+        assert parse_biperm(io.StringIO(text.replace("\n", "\f", 1))) == swap_perm(3)
+        with pytest.raises(DimensionTooLarge, match="cap 215"):
+            parse_biperm(lines("d=216\n"))
 
     @pytest.mark.parametrize(
         "text,fragment",

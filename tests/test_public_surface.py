@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "IndexOutOfRange", "InsufficientSamples", "LatinSquare", "NonEntanglingWitness",
     "NotBijection", "NotOrthogonal", "NotUnitary", "OrthogonalPair",
     "ParameterOrderViolation", "ParseError", "PermupowerError", "PowerReport",
-    "PureState", "RectangleFlags", "SampleStats", "Unitary", "UnnormalizedState",
+    "PureState", "RectangleFlags", "Unitary", "UnnormalizedState",
     "UnsupportedOrder", "WitnessKind", "are_orthogonal", "biperm_from_flat",
     "biperm_to_flat", "builtin_perm", "check_block_conditions", "class_bound",
     "classify_exhaustive", "classify_sampled", "compose_with_swap", "construct_mols",
