@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .latin import construct_mols, special_d6_perm, superimpose
-from .perm_core import BiPerm, biperm_from_flat, check_dimension_cap, identity_perm, swap_perm
-from .classify import min_nonzero_perm
+from .perm_core import (
+    BiPerm, biperm_from_flat, check_dimension_cap, identity_perm, min_nonzero_perm, swap_perm
+)
 
 # d=2 controlled-not: |i j> -> |i, j + i - 1 mod 2>, flat one-line form.
 _CNOT_FLAT = (1, 2, 4, 3)

@@ -30,10 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateDimension, InsufficientSamples
-from .perm_core import (
-    ENUMERATION_MAX_D, BiPerm, check_dimension_cap, identity_perm, lex_blocks, random_blocks
-)
-from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
+from .perm_core import lex_blocks, random_blocks
+from .entangle import check_power_dimension, epsilon_denominator, epsilon_from_q, q_totals_batch
+
+# d^2! enumeration is only reasonable up to 9! = 362880.
+ENUMERATION_MAX_D = 3
 
 SAMPLE_CHUNK = 50_000
 
@@ -54,20 +55,6 @@ def e0_stats(d: int) -> tuple[int, Fraction]:
         raise DegenerateDimension("d must be positive")
     count = 2 * math.factorial(d) ** 2
     return count, Fraction(count, math.factorial(d * d))
-
-
-def min_nonzero_perm(d: int) -> BiPerm:
-    """The permutation with the smallest nonzero entangling power.
-
-    Identity except that the last two cells of the bottom row are
-    exchanged; its power is exactly 8(d-1) / (d (d+1)^2).
-    """
-    if d < 2:
-        raise DegenerateDimension("needs d >= 2")
-    base = identity_perm(d)
-    l = [list(row) for row in base.l]
-    l[d - 1][d - 2], l[d - 1][d - 1] = l[d - 1][d - 1], l[d - 1][d - 2]
-    return BiPerm(base.k, l)
 
 
 def exact_mean(d: int) -> Fraction:
@@ -102,6 +89,8 @@ class ClassHistogram:
         keys = [k for k, _ in self.classes]
         if keys != sorted(keys):
             raise ValueError("classes must be sorted by power")
+        if any(c < 1 for _, c in self.classes):
+            raise ValueError("class counts must be positive")
         if sum(c for _, c in self.classes) != self.total:
             raise ValueError("class counts do not sum to total")
         top = Fraction(self.d, self.d + 1)
@@ -130,9 +119,9 @@ class ClassHistogram:
         var = sum(((k - mean) ** 2 * c for k, c in self.classes), Fraction(0))
         return math.sqrt(var / (self.total - 1) / self.total)
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         mean = self.mean()
-        return {
+        payload = {
             "d": self.d,
             "mode": self.mode,
             "total": self.total,
@@ -140,14 +129,10 @@ class ClassHistogram:
                 {"num": k.numerator, "den": k.denominator, "count": c}
                 for k, c in self.classes
             ],
-            "mean": None
-            if mean is None
-            else {"num": mean.numerator, "den": mean.denominator},
+            "mean": None if mean is None else {"num": mean.numerator, "den": mean.denominator},
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
         lines = ["epsilon_num,epsilon_den,epsilon_float,count"]
@@ -240,6 +225,10 @@ def _load_checkpoint(path: Path, d: int, lo: int, hi: int) -> dict[int, int] | N
         return None  # damaged checkpoint: recompute the stratum
     if sum(counts.values()) != hi - lo:
         return None  # counts do not cover the rank range: recompute
+    # each count is positive, and each Q_P + Q_PS total even and in
+    # [2d^2, d^4 + d^2], where the power lies in [0, d/(d+1)]
+    if any(c < 1 or q % 2 or not 2 * d * d <= q <= d**4 + d * d for q, c in counts.items()):
+        return None  # not a census of this d: recompute
     return counts
 
 
@@ -270,9 +259,7 @@ def classify_exhaustive(
     rank range) as soon as it completes, and a rerun, also after an
     interrupted one, computes only the strata not already on disk.
     """
-    if d < 2:
-        raise DegenerateDimension("exhaustive census needs d >= 2")
-    check_dimension_cap(d)
+    check_power_dimension(d)
     if d > ENUMERATION_MAX_D and not force:
         raise BudgetExceeded(
             f"exhaustive census at d = {d} means {d * d}! evaluations; "
@@ -322,9 +309,7 @@ def classify_sampled(
     and the mean and standard error read off it, are reproducible
     bit-for-bit for a given seed, independent of worker count.
     """
-    if d < 2:
-        raise DegenerateDimension("sampling needs d >= 2")
-    check_dimension_cap(d)
+    check_power_dimension(d)
     if samples < 2:
         raise InsufficientSamples("need at least 2 samples")
     if not 0 <= seed < SEED_BOUND:

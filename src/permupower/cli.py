@@ -13,7 +13,7 @@ Exit codes:
      unknown builtin, or a bad argument (`--seed` outside [0, 2^32);
      `--d`, `--workers`, `--count` or `verify --samples` below 1; a
      `power --d` other than the permutation's d; a flag the command does
-     not read, such as `--format` outside `power` and `classify`, `--seed`
+     not take, such as `--format` outside `power` and `classify`, `--seed`
      or `--workers` on `mols`, `--workers` on `sample`, `--out` on
      `verify`, or `classify --samples` with `--checkpoint-dir` or
      `--force`; a `--format` it does not write)
@@ -23,6 +23,11 @@ Exit codes:
      `verify formula-vs-oracle` and `verify mc-vs-formula`
   5  verification failure
 Every error exit prints one `error:` line to stderr.
+
+Some flags are taken but not read: `power --seed/--workers`, `classify
+--exhaustive --seed`, and each of `verify --seed/--workers/--samples` that
+the target does not use (`theorem4` and `theorem7` use none, `tables` only
+`--workers`, the other two `--seed` and `--samples`).
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .latin import (
     construct_mols,
     format_pair,
     is_latin,
+    parse_pair_file,
     superimpose,
 )
 from .oracle import check_oracle_dimension, mc_power, oracle_power, unitary_of
@@ -72,7 +78,7 @@ EXIT_VERIFY = 5
 # Exit code per error type.  The first match wins, so PermupowerError, the
 # base of the other package errors, comes last.
 _EXIT_CODES = (
-    ((ParseError, OSError, UnicodeDecodeError), EXIT_PARSE),
+    ((ParseError, OSError), EXIT_PARSE),
     ((UnsupportedOrder, NotOrthogonal), 3),
     (BudgetExceeded, 4),
     (PermupowerError, 1),
@@ -190,6 +196,15 @@ def _output(out: Path | None):
     return contextlib.nullcontext(sys.stdout) if out is None else out.open("w")
 
 
+@contextlib.contextmanager
+def _utf8(path: Path):
+    """Report a decoding error while reading `path` as a ParseError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8 text") from None
+
+
 # --- power --------------------------------------------------------------------
 
 
@@ -224,7 +239,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     if args.builtin is not None:
         perm = builtin_perm(args.builtin, args.d)
     else:
-        with args.file.open() as lines:
+        with _utf8(args.file), args.file.open() as lines:
             perm = parse_biperm(lines)
     if args.d is not None and args.d != perm.d:
         raise ParseError(f"--d {args.d} contradicts the permutation's dimension {perm.d}")
@@ -280,7 +295,13 @@ def cmd_mols(args: argparse.Namespace) -> int:
     d = args.d
     if d is None:
         raise ParseError("mols needs --d")
-    pair = construct_mols(d, table_file=args.table)
+    if args.table is None:
+        pair = construct_mols(d)
+    else:
+        with _utf8(args.table):
+            pair = parse_pair_file(args.table.read_text())
+        if pair.d != d:
+            raise UnsupportedOrder(f"pair file has side {pair.d}, requested {d}")
     perm = superimpose(pair)
     report = entangling_power(perm)  # a bad d fails before any file is written
     out = args.out if args.out is not None else Path(f"mols-d{d}.txt")
@@ -404,22 +425,20 @@ def _verify_theorem7(args: argparse.Namespace) -> None:
 
 
 def _verify_tables(args: argparse.Namespace) -> None:
-    dims = [args.d] if args.d else [2, 3]
-    for d in dims:
-        if d not in (2, 3):
-            raise BudgetExceeded("reference census only available for d = 2, 3")
+    known = golden.EXPECTED_CENSUS
+    for d in [args.d] if args.d else list(known):
+        if d not in known:
+            raise BudgetExceeded(
+                f"reference census only available for d = {', '.join(map(str, known))}"
+            )
         hist = classify_exhaustive(d, workers=args.workers)
-        expected = golden.expected_census(d)
         _check(
             f"d={d} census classes",
-            dict(hist.classes) == expected,
-            f"{len(expected)} known classes", f"{len(hist.classes)} classes",
+            dict(hist.classes) == known[d],
+            f"{len(known[d])} known classes", f"{len(hist.classes)} classes",
         )
-        mean = hist.mean()
-        _check(
-            f"d={d} census mean", mean == golden.EXPECTED_MEAN[d],
-            str(golden.EXPECTED_MEAN[d]), str(mean),
-        )
+        mean, exact = hist.mean(), exact_mean(d)
+        _check(f"d={d} census mean", mean == exact, str(exact), str(mean))
 
 
 # `verify` target name -> its checks
@@ -451,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.d is not None:  # every subcommand takes --d
             check_dimension_cap(args.d)
         return args.run(args)
-    except (PermupowerError, OSError, UnicodeDecodeError) as exc:
+    except (PermupowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

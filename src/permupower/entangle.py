@@ -196,12 +196,11 @@ def epsilon_from_q(d: int, q_p: int, q_ps: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Entangling power of one permutation, with its rectangle counts."""
+    """Entangling power of one permutation, from its rectangle counts."""
 
     d: int
     q_p: int
     q_ps: int
-    epsilon: Fraction
 
     def __post_init__(self):
         d = self.d
@@ -210,25 +209,24 @@ class PowerReport:
                 raise ValueError(f"q = {q} outside [d^2, d^4] = [{d * d}, {d**4}]")
             if q % 2 != (d * d) % 2:
                 raise ValueError(f"q = {q} has wrong parity for d = {d}")
-        if self.epsilon != epsilon_from_q(d, self.q_p, self.q_ps):
-            raise ValueError("epsilon inconsistent with q_p, q_ps")
         if not 0 <= self.epsilon <= Fraction(d, d + 1):
             raise ValueError(f"epsilon {self.epsilon} outside [0, d/(d+1)]")
 
-    def to_json_dict(self) -> dict:
-        return {
+    @property
+    def epsilon(self) -> Fraction:
+        """The exact power, computed from the two counts."""
+        return epsilon_from_q(self.d, self.q_p, self.q_ps)
+
+    def to_json(self) -> str:
+        eps = self.epsilon
+        payload = {
             "d": self.d,
             "q_p": self.q_p,
             "q_ps": self.q_ps,
-            "epsilon": {
-                "num": self.epsilon.numerator,
-                "den": self.epsilon.denominator,
-            },
-            "epsilon_float": float(self.epsilon),
+            "epsilon": {"num": eps.numerator, "den": eps.denominator},
+            "epsilon_float": float(eps),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(payload, indent=2)
 
 
 def entangling_power(perm: BiPerm) -> PowerReport:
@@ -236,7 +234,7 @@ def entangling_power(perm: BiPerm) -> PowerReport:
     check_power_dimension(perm.d)
     q_p = q_of(perm)
     q_ps = q_of(compose_with_swap(perm))
-    return PowerReport(perm.d, q_p, q_ps, epsilon_from_q(perm.d, q_p, q_ps))
+    return PowerReport(perm.d, q_p, q_ps)
 
 
 @dataclass(frozen=True)

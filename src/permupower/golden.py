@@ -12,38 +12,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-EXPECTED_CLASSES_D2 = (
-    (Fraction(0), 8),
-    (Fraction(4, 9), 16),
-)
-
-EXPECTED_CLASSES_D3 = (
-    (Fraction(0), 72),
-    (Fraction(1, 3), 2592),
-    (Fraction(3, 8), 864),
-    (Fraction(5, 12), 1296),
-    (Fraction(11, 24), 10368),
-    (Fraction(23, 48), 20736),
-    (Fraction(1, 2), 27432),
-    (Fraction(25, 48), 36288),
-    (Fraction(13, 24), 44064),
-    (Fraction(9, 16), 101376),
-    (Fraction(7, 12), 44712),
-    (Fraction(29, 48), 46656),
-    (Fraction(5, 8), 22464),
-    (Fraction(2, 3), 3888),
-    (Fraction(3, 4), 72),
-)
-
-EXPECTED_MEAN = {
-    2: Fraction(8, 27),
-    3: Fraction(31, 56),
+# d -> {power: number of permutations with that power}, over all d^2!
+EXPECTED_CENSUS = {
+    2: {
+        Fraction(0): 8,
+        Fraction(4, 9): 16,
+    },
+    3: {
+        Fraction(0): 72,
+        Fraction(1, 3): 2592,
+        Fraction(3, 8): 864,
+        Fraction(5, 12): 1296,
+        Fraction(11, 24): 10368,
+        Fraction(23, 48): 20736,
+        Fraction(1, 2): 27432,
+        Fraction(25, 48): 36288,
+        Fraction(13, 24): 44064,
+        Fraction(9, 16): 101376,
+        Fraction(7, 12): 44712,
+        Fraction(29, 48): 46656,
+        Fraction(5, 8): 22464,
+        Fraction(2, 3): 3888,
+        Fraction(3, 4): 72,
+    },
 }
-
-
-def expected_census(d: int) -> dict[Fraction, int]:
-    if d == 2:
-        return dict(EXPECTED_CLASSES_D2)
-    if d == 3:
-        return dict(EXPECTED_CLASSES_D3)
-    raise KeyError(f"no reference census for d = {d}")

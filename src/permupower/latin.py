@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotOrthogonal, ParseError, UnsupportedOrder
@@ -95,12 +94,8 @@ class OrthogonalPair:
         return self.first.d
 
 
-def superimpose(
-    pair: OrthogonalPair | tuple[LatinSquare, LatinSquare],
-) -> BiPerm:
+def superimpose(pair: OrthogonalPair) -> BiPerm:
     """Grid permutation (i, j) -> (first_ij, second_ij) of an orthogonal pair."""
-    if not isinstance(pair, OrthogonalPair):
-        pair = OrthogonalPair(*pair)
     return BiPerm._trusted(pair.d, pair.first.cells, pair.second.cells)
 
 
@@ -181,7 +176,7 @@ def mols_supported(d: int) -> bool:
     return d >= 3 and d % 4 != 2
 
 
-def construct_mols(d: int, table_file: str | Path | None = None) -> OrthogonalPair:
+def construct_mols(d: int) -> OrthogonalPair:
     """Build an orthogonal pair of side d.
 
     Strategy: odd d uses the cyclic rows i+j and i+2j; powers of two use
@@ -190,14 +185,8 @@ def construct_mols(d: int, table_file: str | Path | None = None) -> OrthogonalPa
     both m and d/m are supported.  Sides 2 and 6 have no orthogonal pair
     at all; the other sides congruent to 2 mod 4 have pairs, but they need
     the Bose-Shrikhande-Parker construction, which this module does not
-    build.  For those, a pair file (see `parse_pair_file`) can be supplied
-    and is validated before use.
+    build.  For those, `parse_pair_file` reads and validates a pair.
     """
-    if table_file is not None:
-        pair = parse_pair_file(Path(table_file).read_text())
-        if pair.d != d:
-            raise UnsupportedOrder(f"pair file has side {pair.d}, requested {d}")
-        return pair
     if not mols_supported(d):
         if d == 2:
             raise UnsupportedOrder("no orthogonal Latin squares of side 2 exist")

@@ -143,11 +143,19 @@ def swap_unitary(d: int) -> Unitary:
     return _permutation_unitary(d, np.arange(d * d).reshape(d, d).T.reshape(-1))
 
 
+def _amplitudes(u: Unitary) -> np.ndarray:
+    """The (d, d, d, d) tensor amp(k,i,l,m) = <kl|U|im> / d, in U's own dtype.
+
+    A matrix with no imaginary part, as every permutation's, gives float64.
+    """
+    d = u.d
+    matrix = u.matrix if u.matrix.imag.any() else u.matrix.real
+    return matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3) / d
+
+
 def state_of_unitary(u: Unitary) -> PureState:
     """4-party state of an operator: amp(k,i,l,m) = <kl|U|im> / d."""
-    d = u.d
-    amp = u.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3) / d
-    return PureState((d, d, d, d), amp.reshape(-1))
+    return PureState((u.d,) * 4, _amplitudes(u))
 
 
 def _cut_entropy(tensor: np.ndarray, keep: Sequence[int]) -> float:
@@ -182,13 +190,10 @@ def oracle_power(u: Unitary) -> float:
     """Entangling power from the two state entropies (dense route).
 
     The entropy of |US> across 12|34 is that of |U> across 14|23, so both
-    are read off U's own state, with no second matrix.  A matrix with no
-    imaginary part, as every permutation's, is handled as float64.
+    are read off U's own state, with no second matrix.
     """
     d = u.d
-    matrix = u.matrix if u.matrix.imag.any() else u.matrix.real
-    # the amplitudes of state_of_unitary, in U's own dtype
-    tensor = matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3) / d
+    tensor = _amplitudes(u)
     s_u = _cut_entropy(tensor, _CUT_NAMES["12|34"])
     s_us = _cut_entropy(tensor, _CUT_NAMES["14|23"])
     return d / (d + 1) * (s_u + s_us - 1.0)

@@ -35,10 +35,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooLarge, NotBijection, ParseError
-
-# d^2! enumeration is only reasonable up to 9! = 362880.
-ENUMERATION_MAX_D = 3
+from .errors import (
+    DegenerateDimension, DimensionMismatch, DimensionTooLarge, NotBijection, ParseError
+)
 
 # Supported range of d, the largest d with d^4 < 2^31.  No count overflows
 # above it (q_of sums Python integers, the batch kernel sums in int64), but
@@ -220,6 +219,20 @@ def swap_perm(d: int) -> BiPerm:
     k = tuple(tuple(range(1, d + 1)) for _ in range(d))
     l = tuple(tuple([i + 1] * d) for i in range(d))
     return BiPerm._trusted(d, k, l)
+
+
+def min_nonzero_perm(d: int) -> BiPerm:
+    """The permutation with the smallest nonzero entangling power.
+
+    Identity except that the last two cells of the bottom row are
+    exchanged; its power is exactly 8(d-1) / (d (d+1)^2).
+    """
+    if d < 2:
+        raise DegenerateDimension("needs d >= 2")
+    base = identity_perm(d)
+    l = [list(row) for row in base.l]
+    l[d - 1][d - 2], l[d - 1][d - 1] = l[d - 1][d - 1], l[d - 1][d - 2]
+    return BiPerm(base.k, l)
 
 
 def compose_with_swap(perm: BiPerm) -> BiPerm:

@@ -99,7 +99,7 @@ class TestExhaustive:
         with pytest.raises(BudgetExceeded, match="9! evaluations"):
             classify_exhaustive(3)
         for force in (False, True):
-            with pytest.raises(DegenerateDimension, match="census needs d >= 2"):
+            with pytest.raises(DegenerateDimension, match="entangling power needs d >= 2"):
                 classify_exhaustive(1, force=force)
 
     def test_zero_class_matches_e0(self, census_d3):
@@ -161,7 +161,7 @@ class TestExhaustive:
         monkeypatch.setattr(classify, "_stratum_q_counts", counted)
         hist = classify_exhaustive(3, checkpoint_dir=tmp_path)
         assert calls == [4, 5, 6, 7, 8]
-        assert dict(hist.classes) == golden.expected_census(3)
+        assert dict(hist.classes) == golden.EXPECTED_CENSUS[3]
         assert len(list(tmp_path.glob("census-d3-*.json"))) == 9
 
     def test_checkpoint_rejects_wrong_total(self, tmp_path):
@@ -169,12 +169,17 @@ class TestExhaustive:
         path = tmp_path / "census-d2-ranks-0-6.json"
         payload = json.loads(path.read_text())
         good = dict(payload["q_counts"])
-        payload["q_counts"] = {key: 2 * cnt for key, cnt in good.items()}
-        path.write_text(json.dumps(payload))
-        assert classify._load_checkpoint(path, 2, 0, 6) is None
-        hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
-        assert hist.classes == D2_CLASSES
-        assert json.loads(path.read_text())["q_counts"] == good
+        # a wrong sum; then sums of 6 with a count below 1, or a Q total
+        # outside [2d^2, d^4 + d^2] = [8, 20]
+        damaged = [{key: 2 * cnt for key, cnt in good.items()},
+                   {"12": 7, "20": -1}, {"0": 6}, {"20": -1, "40": 7}]
+        clean = classify_exhaustive(2).to_json()
+        for q_counts in damaged:
+            path.write_text(json.dumps(dict(payload, q_counts=q_counts)))
+            assert classify._load_checkpoint(path, 2, 0, 6) is None
+            hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
+            assert hist.classes == D2_CLASSES and hist.to_json() == clean
+            assert json.loads(path.read_text())["q_counts"] == good
 
     def test_checkpoint_ignores_stale(self, tmp_path):
         stale = tmp_path / "census-d2-ranks-0-6.json"
@@ -367,3 +372,9 @@ class TestHistogramSerialization:
             ClassHistogram(
                 d=2, mode="sampled", classes=((Fraction(7, 9), 1),), total=1
             )
+        for counts in ((0, 2), (-1, 3)):
+            with pytest.raises(ValueError, match="positive"):
+                ClassHistogram(
+                    d=2, mode="sampled", total=2,
+                    classes=((Fraction(0), counts[0]), (Fraction(4, 9), counts[1])),
+                )

@@ -9,7 +9,7 @@ import pytest
 
 from permupower import classify_sampled, cli, perm_core
 from permupower.catalog import BUILTIN_NAMES
-from permupower.latin import parse_pair_file
+from permupower.latin import construct_mols, format_pair, parse_pair_file
 from permupower import entangling_power, format_biperm, parse_biperm, random_perm
 
 
@@ -110,6 +110,7 @@ class TestPower:
         code, out, err = run([*argv, "bad.txt"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad.txt" in err and "position" not in err
         assert [path.name for path in tmp_path.iterdir()] == ["bad.txt"]
 
     def test_unknown_builtin_exit_2(self, capsys):
@@ -142,7 +143,7 @@ class TestClassify:
             ["classify", "--d", "1", "--exhaustive", "--out", str(out_file), *force], capsys
         )
         assert code == 1 and out == "" and not out_file.exists()
-        assert err.count("error:") == 1 and "exhaustive census needs d >= 2" in err
+        assert err.count("error:") == 1 and "entangling power needs d >= 2" in err
 
     def test_d2_exhaustive(self, capsys, tmp_path):
         out_file = tmp_path / "census.json"
@@ -242,7 +243,21 @@ class TestMols:
         code, _, _ = run(
             ["mols", "--d", "9", "--table", str(src), "--out", str(out_file)], capsys
         )
-        assert code == 0
+        assert code == 0 and out_file.read_text() == src.read_text()
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [(format_pair(construct_mols(5)), "pair file has side 5, requested 3"),
+         ("1 2 3\n2 3 1\n3 1 2\n\n1 2 3\n2 3 1\n3 1 2\n", "are not orthogonal")],
+        ids=["wrong-side", "not-orthogonal"],
+    )
+    def test_table_rejected_exit_3(self, capsys, tmp_path, monkeypatch, table, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.txt").write_text(table)
+        code, out, err = run(["mols", "--d", "3", "--table", "table.txt"], capsys)
+        assert code == 3 and out == ""
+        assert err.count("error:") == 1 and message in err
+        assert [path.name for path in tmp_path.iterdir()] == ["table.txt"]
 
 
 class TestSample:
@@ -382,9 +397,18 @@ class TestVerify:
         from fractions import Fraction
         from permupower import golden
 
-        monkeypatch.setitem(golden.EXPECTED_MEAN, 2, Fraction(1, 2))
+        monkeypatch.setitem(golden.EXPECTED_CENSUS, 2, {Fraction(0): 24})
         code, out, _ = run(["verify", "tables", "--d", "2"], capsys)
-        assert code == 5 and "[FAIL]" in out
+        assert code == 5 and "[FAIL] d=2 census classes" in out
+
+    def test_mean_checked_against_exact_mean(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "exact_mean", lambda d: Fraction(1, 2))
+        code, out, _ = run(["verify", "tables", "--d", "2"], capsys)
+        assert code == 5
+        assert out.splitlines() == [
+            "[pass] d=2 census classes: expected 2 known classes, got 2 classes",
+            "[FAIL] d=2 census mean: expected 1/2, got 8/27",
+        ]
 
 
 class TestArgumentBoundary:

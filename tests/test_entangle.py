@@ -15,6 +15,7 @@ from permupower import (
     DegenerateDimension,
     DimensionTooLarge,
     IndexOutOfRange,
+    PowerReport,
     biperm_from_flat,
     biperm_to_flat,
     check_block_conditions,
@@ -22,6 +23,7 @@ from permupower import (
     construct_mols,
     detect_non_entangling,
     entangling_power,
+    epsilon_from_q,
     identity_perm,
     min_nonzero_perm,
     q_of,
@@ -323,6 +325,18 @@ class TestEntanglingPower:
     def test_degenerate_dimension(self):
         with pytest.raises(DegenerateDimension):
             entangling_power(identity_perm(1))
+
+    def test_report_epsilon_from_counts(self):
+        for d, q_p, q_ps in ((2, 8, 4), (3, 49, 9), (4, 16, 16), (6, 40, 36)):
+            assert PowerReport(d, q_p, q_ps).epsilon == epsilon_from_q(d, q_p, q_ps)
+
+    @pytest.mark.parametrize(
+        "q_p,q_ps,message",
+        [(2, 4, "outside"), (5, 4, "parity"), (16, 16, "epsilon -2/3 outside")],
+    )
+    def test_report_rejects(self, q_p, q_ps, message):
+        with pytest.raises(ValueError, match=message):
+            PowerReport(2, q_p, q_ps)
 
     def test_report_json(self):
         payload = json.loads(entangling_power(builtin_perm("cnot")).to_json())

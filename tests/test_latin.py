@@ -80,7 +80,7 @@ class TestSuperimpose:
         with pytest.raises(NotOrthogonal):
             OrthogonalPair(LatinSquare(R9_K), LatinSquare(R9_K))
         with pytest.raises(NotOrthogonal):
-            superimpose((LatinSquare(R9_L), LatinSquare(R9_L)))
+            superimpose(OrthogonalPair(LatinSquare(R9_L), LatinSquare(R9_L)))
 
 
 class TestConstructMols:
@@ -141,22 +141,15 @@ class TestConstructMols:
         flat = np.array([biperm_to_flat(superimpose(pair))], dtype=np.int32) - 1
         assert q_totals_batch(flat, d).tolist() == [2 * d * d]
 
-    def test_table_file_load(self, tmp_path):
-        path = tmp_path / "pair7.txt"
-        path.write_text(format_pair(construct_mols(7)))
-        pair = construct_mols(7, table_file=path)
+    def test_table_file_load(self):
+        pair = parse_pair_file(format_pair(construct_mols(7)))
+        assert pair == construct_mols(7)
         assert are_orthogonal(pair.first, pair.second)
-        wrong = tmp_path / "bad.txt"
-        wrong.write_text(format_pair(construct_mols(5)))
-        with pytest.raises(UnsupportedOrder):
-            construct_mols(7, table_file=wrong)
 
-    def test_table_file_validated(self, tmp_path):
-        path = tmp_path / "notorth.txt"
+    def test_table_file_validated(self):
         sq = format_latin_square(LatinSquare(R9_K))
-        path.write_text(sq + "\n" + sq)
         with pytest.raises(NotOrthogonal):
-            construct_mols(3, table_file=path)
+            parse_pair_file(sq + "\n" + sq)
 
 
 class TestSpecialD6:
