@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateDimension, InsufficientSamples
-from .perm_core import lex_blocks, random_blocks
-from .entangle import check_power_dimension, epsilon_denominator, epsilon_from_q, q_totals_batch
+from .errors import BudgetExceeded, InsufficientSamples
+from .perm_core import check_power_dimension, lex_blocks, random_blocks
+from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
 
 # d^2! enumeration is only reasonable up to 9! = 362880.
 ENUMERATION_MAX_D = 3
@@ -44,15 +44,13 @@ SEED_BOUND = 1 << 32
 
 def class_bound(d: int) -> int:
     """Upper bound 2 + (d^4 - d^2 - 8(d-1)^2)/2 on the number of classes."""
-    if d < 2:
-        raise DegenerateDimension("class bound needs d >= 2")
+    check_power_dimension(d)
     return 2 + (d**4 - d**2 - 8 * (d - 1) ** 2) // 2
 
 
 def e0_stats(d: int) -> tuple[int, Fraction]:
     """Count 2(d!)^2 of non-entangling permutations, and its fraction of d^2!."""
-    if d < 1:
-        raise DegenerateDimension("d must be positive")
+    check_power_dimension(d)
     count = 2 * math.factorial(d) ** 2
     return count, Fraction(count, math.factorial(d * d))
 
@@ -64,8 +62,7 @@ def exact_mean(d: int) -> Fraction:
     = n + 2n (d-1)/(d+1) + d^4 (d-1)^4 / (n (n-1) (n-2) (n-3)) with
     n = d^2, and the power is linear in Q_P + Q_PS.
     """
-    if d < 2:
-        raise DegenerateDimension("exact mean needs d >= 2")
+    check_power_dimension(d)
     n = d * d
     e_q = (
         Fraction(n)
@@ -140,20 +137,6 @@ class ClassHistogram:
             lines.append(f"{k.numerator},{k.denominator},{float(k):.12g},{c}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ClassHistogram":
-        classes = tuple(
-            (Fraction(entry["num"], entry["den"]), entry["count"])
-            for entry in payload["classes"]
-        )
-        return cls(
-            d=payload["d"],
-            mode=payload["mode"],
-            classes=classes,
-            total=payload["total"],
-            seed=payload.get("seed"),
-        )
-
 
 def _histogram_from_q_counts(
     d: int, mode: str, q_counts: dict[int, int], seed: int | None = None
@@ -199,7 +182,7 @@ def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
 def _run_units(fn: Callable, units: list[tuple], workers: int) -> Iterator:
     """Yield fn(*unit) for each unit in order, serially or in a process pool."""
     if workers > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
             yield from pool.map(fn, *zip(*units))
     else:
         for unit in units:

@@ -7,8 +7,9 @@ JSON regardless of worker count.
 Exit codes:
   0  success
   1  any other invalid request, e.g. `classify --samples` below 2, d = 1
-     where the entangling power is undefined, or a `--d` or builtin
-     dimension above the cap of 215 (every command, checked first)
+     where the entangling power is undefined (every command that reports
+     a power, with one message; `power --builtin mols:1` exits 3), or a
+     `--d` or builtin dimension above the cap of 215 (checked first)
   2  unparsable input: a malformed, unreadable or non-UTF-8 file, an
      unknown builtin, or a bad argument (`--seed` outside [0, 2^32);
      `--d`, `--workers`, `--count` or `verify --samples` below 1; a
@@ -19,10 +20,11 @@ Exit codes:
      `--force`; a `--format` it does not write)
   3  unsupported Latin square order
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
-     overrides it), or the dense oracle's cap of d <= 12 on
-     `verify formula-vs-oracle` and `verify mc-vs-formula`
+     overrides it), the dense oracle's cap of d <= 12 on the two dense
+     `verify` targets, or a `verify tables` side with no reference census
   5  verification failure
-Every error exit prints one `error:` line to stderr.
+Every error exit prints one `error:` line to stderr; `verify` checks every
+side before its first line.
 
 Some flags are taken but not read: `power --seed/--workers`, `classify
 --exhaustive --seed`, and each of `verify --seed/--workers/--samples` that
@@ -49,7 +51,7 @@ from .classify import (
     classify_sampled,
     exact_mean,
 )
-from .entangle import check_block_conditions, check_power_dimension, entangling_power
+from .entangle import check_block_conditions, entangling_power
 from .errors import (
     BudgetExceeded,
     NotOrthogonal,
@@ -65,8 +67,11 @@ from .latin import (
     parse_pair_file,
     superimpose,
 )
-from .oracle import check_oracle_dimension, mc_power, oracle_power, unitary_of
-from .perm_core import check_dimension_cap, format_biperm, parse_biperm, random_blocks, random_perm
+from .oracle import COMPARISON_TOL, check_oracle_dimension, mc_power, oracle_power, unitary_of
+from .perm_core import (
+    check_dimension_cap, check_power_dimension, format_biperm, parse_biperm, random_blocks,
+    random_perm,
+)
 
 # Fixed default seed: bare invocations are reproducible by construction.
 DEFAULT_SEED = 42
@@ -295,6 +300,7 @@ def cmd_mols(args: argparse.Namespace) -> int:
     d = args.d
     if d is None:
         raise ParseError("mols needs --d")
+    check_power_dimension(d)  # before the pair is built or read
     if args.table is None:
         pair = construct_mols(d)
     else:
@@ -303,7 +309,7 @@ def cmd_mols(args: argparse.Namespace) -> int:
         if pair.d != d:
             raise UnsupportedOrder(f"pair file has side {pair.d}, requested {d}")
     perm = superimpose(pair)
-    report = entangling_power(perm)  # a bad d fails before any file is written
+    report = entangling_power(perm)
     out = args.out if args.out is not None else Path(f"mols-d{d}.txt")
     perm_path = Path(str(out) + ".perm")
     out.write_text(format_pair(pair))
@@ -348,9 +354,7 @@ def _check(label: str, ok: bool, expected, actual) -> None:
         raise _VerifyFailure(label)
 
 
-def _verify_formula_vs_oracle(args: argparse.Namespace) -> None:
-    d = args.d or 3
-    check_oracle_dimension(d)
+def _verify_formula_vs_oracle(args: argparse.Namespace, d: int) -> None:
     samples = args.samples or 100
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -361,7 +365,7 @@ def _verify_formula_vs_oracle(args: argparse.Namespace) -> None:
         worst = max(worst, abs(exact - dense))
     _check(
         f"formula vs oracle, {samples} random permutations at d={d}",
-        worst <= 1e-10, "max |diff| <= 1e-10", f"max |diff| = {worst:.2e}",
+        worst <= COMPARISON_TOL, f"max |diff| <= {COMPARISON_TOL}", f"max |diff| = {worst:.2e}",
     )
 
 
@@ -379,11 +383,8 @@ def _mc_within(perm, label: str, samples: int, seed: int) -> None:
            f"within 5 SE of {exact:.6f}", f"{dev:.2f} SE after retry")
 
 
-def _verify_mc_vs_formula(args: argparse.Namespace) -> None:
+def _verify_mc_vs_formula(args: argparse.Namespace, d: int) -> None:
     samples = args.samples or 100_000
-    d = args.d or 3
-    check_oracle_dimension(d)
-    check_power_dimension(d)
     _mc_within(builtin_perm("cnot"), "cnot", samples, args.seed)
     _mc_within(builtin_perm("r9"), "r9", samples, args.seed + 101)
     rng = np.random.default_rng(args.seed)
@@ -392,68 +393,73 @@ def _verify_mc_vs_formula(args: argparse.Namespace) -> None:
         _mc_within(perm, f"random d={d} #{idx}", samples, args.seed + 200 + idx)
 
 
-def _verify_theorem4(args: argparse.Namespace) -> None:
-    dims = [args.d] if args.d else [3, 4, 5, 7, 8, 9, 11, 12]
-    for d in dims:
-        pair = construct_mols(d)
-        perm = superimpose(pair)
-        report = entangling_power(perm)  # a bad d fails before any output
-        ok = (
-            is_latin(pair.first.cells)
-            and is_latin(pair.second.cells)
-            and are_orthogonal(pair.first, pair.second)
-        )
-        _check(f"d={d} constructed pair is orthogonal Latin", ok, True, ok)
-        _check(
-            f"d={d} superimposed power",
-            report.epsilon == Fraction(d, d + 1),
-            f"{d}/{d + 1}", str(report.epsilon),
-        )
-        blocks = check_block_conditions(perm)
-        _check(f"d={d} block conditions", blocks.all(), "all four", blocks)
+def _verify_theorem4(args: argparse.Namespace, d: int) -> None:
+    pair = construct_mols(d)
+    perm = superimpose(pair)
+    report = entangling_power(perm)
+    ok = (
+        is_latin(pair.first.cells)
+        and is_latin(pair.second.cells)
+        and are_orthogonal(pair.first, pair.second)
+    )
+    _check(f"d={d} constructed pair is orthogonal Latin", ok, True, ok)
+    _check(
+        f"d={d} superimposed power",
+        report.epsilon == Fraction(d, d + 1),
+        f"{d}/{d + 1}", str(report.epsilon),
+    )
+    blocks = check_block_conditions(perm)
+    _check(f"d={d} block conditions", blocks.all(), "all four", blocks)
 
 
-def _verify_theorem7(args: argparse.Namespace) -> None:
-    dims = [args.d] if args.d else list(range(2, 9))
-    for d in dims:
-        report = entangling_power(builtin_perm(f"min:{d}"))
-        expected = Fraction(8 * (d - 1), d * (d + 1) ** 2)
-        _check(
-            f"d={d} minimal nonzero power",
-            report.epsilon == expected, str(expected), str(report.epsilon),
-        )
+def _verify_theorem7(args: argparse.Namespace, d: int) -> None:
+    report = entangling_power(builtin_perm(f"min:{d}"))
+    expected = Fraction(8 * (d - 1), d * (d + 1) ** 2)
+    _check(
+        f"d={d} minimal nonzero power",
+        report.epsilon == expected, str(expected), str(report.epsilon),
+    )
 
 
-def _verify_tables(args: argparse.Namespace) -> None:
-    known = golden.EXPECTED_CENSUS
-    for d in [args.d] if args.d else list(known):
-        if d not in known:
-            raise BudgetExceeded(
-                f"reference census only available for d = {', '.join(map(str, known))}"
-            )
-        hist = classify_exhaustive(d, workers=args.workers)
-        _check(
-            f"d={d} census classes",
-            dict(hist.classes) == known[d],
-            f"{len(known[d])} known classes", f"{len(hist.classes)} classes",
-        )
-        mean, exact = hist.mean(), exact_mean(d)
-        _check(f"d={d} census mean", mean == exact, str(exact), str(mean))
+def _check_reference_census(d: int) -> None:
+    if d not in golden.EXPECTED_CENSUS:
+        known = ", ".join(map(str, golden.EXPECTED_CENSUS))
+        raise BudgetExceeded(f"reference census only available for d = {known}")
 
 
-# `verify` target name -> its checks
+def _verify_tables(args: argparse.Namespace, d: int) -> None:
+    known = golden.EXPECTED_CENSUS[d]
+    hist = classify_exhaustive(d, workers=args.workers)
+    _check(
+        f"d={d} census classes",
+        dict(hist.classes) == known,
+        f"{len(known)} known classes", f"{len(hist.classes)} classes",
+    )
+    mean, exact = hist.mean(), exact_mean(d)
+    _check(f"d={d} census mean", mean == exact, str(exact), str(mean))
+
+
+# `verify` target name -> (the checks at one side d, the sides checked
+# without --d, a check each side must pass before any output, or None)
 VERIFY_TARGETS = {
-    "formula-vs-oracle": _verify_formula_vs_oracle,
-    "mc-vs-formula": _verify_mc_vs_formula,
-    "theorem4": _verify_theorem4,
-    "theorem7": _verify_theorem7,
-    "tables": _verify_tables,
+    "formula-vs-oracle": (_verify_formula_vs_oracle, (3,), check_oracle_dimension),
+    "mc-vs-formula": (_verify_mc_vs_formula, (3,), check_oracle_dimension),
+    "theorem4": (_verify_theorem4, (3, 4, 5, 7, 8, 9, 11, 12), None),
+    "theorem7": (_verify_theorem7, tuple(range(2, 9)), None),
+    "tables": (_verify_tables, tuple(golden.EXPECTED_CENSUS), _check_reference_census),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    run_side, sides, check_side = VERIFY_TARGETS[args.target]
+    sides = sides if args.d is None else (args.d,)
+    for d in sides:  # every side is checked before the first line is printed
+        check_power_dimension(d)
+        if check_side is not None:
+            check_side(d)
     try:
-        VERIFY_TARGETS[args.target](args)
+        for d in sides:
+            run_side(args, d)
     except _VerifyFailure:
         return EXIT_VERIFY
     print("all checks passed")

@@ -26,21 +26,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateDimension, IndexOutOfRange
-from .perm_core import BiPerm, check_dimension_cap, compose_with_swap, lines_are_permutations
+from .errors import IndexOutOfRange
+from .perm_core import (
+    BiPerm, check_dimension_cap, check_power_dimension, compose_with_swap, lines_are_permutations
+)
 
 # Most rectangle-count keys the batch kernel holds at once.  Every per-tile
 # array (cell gathers, match flags, keys, run ranks) has at most this many
 # elements, so the kernel's working memory grows with neither the batch
 # size nor d.
 KEY_BUDGET = 1 << 16
-
-
-def check_power_dimension(d: int) -> None:
-    """Raise unless entangling_power accepts dimension d: 2 <= d <= MAX_DIMENSION."""
-    if d < 2:
-        raise DegenerateDimension("entangling power needs d >= 2")
-    check_dimension_cap(d)
 
 
 def q_of(perm: BiPerm) -> int:
@@ -189,8 +184,7 @@ def epsilon_denominator(d: int) -> int:
 
 def epsilon_from_q(d: int, q_p: int, q_ps: int) -> Fraction:
     """Entangling power from the two rectangle counts."""
-    if d < 2:
-        raise DegenerateDimension("entangling power needs d >= 2")
+    check_power_dimension(d)
     return Fraction(d**4 + d**2 - q_p - q_ps, epsilon_denominator(d))
 
 

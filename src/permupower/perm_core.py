@@ -102,6 +102,13 @@ def check_dimension_cap(d: int) -> None:
         raise DimensionTooLarge(f"d = {d} exceeds the supported cap {MAX_DIMENSION}")
 
 
+def check_power_dimension(d: int) -> None:
+    """Raise unless entangling_power accepts dimension d: 2 <= d <= MAX_DIMENSION."""
+    if d < 2:
+        raise DegenerateDimension("entangling power needs d >= 2")
+    check_dimension_cap(d)
+
+
 def lines_are_permutations(lines: Iterable[Sequence[int]], d: int) -> bool:
     """True when every line (a row or column of a d x d matrix) permutes [d]."""
     full = set(range(1, d + 1))
@@ -227,8 +234,7 @@ def min_nonzero_perm(d: int) -> BiPerm:
     Identity except that the last two cells of the bottom row are
     exchanged; its power is exactly 8(d-1) / (d (d+1)^2).
     """
-    if d < 2:
-        raise DegenerateDimension("needs d >= 2")
+    check_power_dimension(d)
     base = identity_perm(d)
     l = [list(row) for row in base.l]
     l[d - 1][d - 2], l[d - 1][d - 1] = l[d - 1][d - 1], l[d - 1][d - 2]

@@ -44,6 +44,20 @@ CALLS = {
         ["verify", "mc-vs-formula", "--d", "2", "--samples", "200"],
         {"cli.main", "oracle.mc_power"},
     ),
+    "theorem4": (
+        ["verify", "theorem4", "--d", "3"],
+        {"cli.main", "latin.construct_mols", "latin.superimpose",
+         "entangle.entangling_power", "entangle.q_of"},
+    ),
+    "theorem7": (
+        ["verify", "theorem7", "--d", "3"],
+        {"cli.main", "catalog.builtin_perm", "entangle.entangling_power", "entangle.q_of"},
+    ),
+    "tables": (
+        ["verify", "tables", "--d", "2"],
+        {"cli.main", "classify.classify_exhaustive", "classify.unit",
+         "entangle.q_totals_batch"},
+    ),
     "exhaustive": (
         ["classify", "--d", "2", "--exhaustive", "--out", "{out}"],
         {"cli.main", "classify.classify_exhaustive", "classify.unit",

@@ -87,7 +87,7 @@ class TestExhaustive:
         assert exact_mean(d) == mean
 
     def test_exact_mean_degenerate(self):
-        with pytest.raises(DegenerateDimension):
+        with pytest.raises(DegenerateDimension, match="^entangling power needs d >= 2$"):
             exact_mean(1)
 
     def test_budget(self):
@@ -294,6 +294,31 @@ def test_cap_checked_before_any_block(monkeypatch, census):
         census()
 
 
+def test_pool_no_larger_than_the_units(monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", InProcessPool)
+    assert classify_exhaustive(2, workers=64).classes == D2_CLASSES  # 4 strata
+    units = [(2, 3), (3, 2), (4, 1)]
+    for workers in (8, 2):
+        assert list(classify._run_units(pow, units, workers)) == [8, 9, 4]
+    assert sizes == [4, 3, 2]
+
+
 class TestMinNonzero:
     def test_d2_is_the_maximum_too(self):
         report = entangling_power(min_nonzero_perm(2))
@@ -338,9 +363,26 @@ class TestBoundsAndStats:
             hist = ClassHistogram(d=2, mode="sampled", classes=classes, total=total)
             assert hist.std_error() is None
 
+    @pytest.mark.parametrize("fn", [class_bound, e0_stats], ids=lambda fn: fn.__name__)
+    def test_degenerate(self, fn):
+        # e0_stats(1) once counted 2 non-entangling permutations of the 1 there is
+        with pytest.raises(DegenerateDimension, match="^entangling power needs d >= 2$"):
+            fn(1)
+
     def test_e0_fraction_shrinks(self):
         fractions = [e0_stats(d)[1] for d in range(2, 8)]
         assert all(a > b for a, b in zip(fractions, fractions[1:]))
+
+
+def histogram_from_json(payload: dict) -> ClassHistogram:
+    """Reference parser of `ClassHistogram.to_json`."""
+    classes = tuple(
+        (Fraction(entry["num"], entry["den"]), entry["count"]) for entry in payload["classes"]
+    )
+    return ClassHistogram(
+        d=payload["d"], mode=payload["mode"], classes=classes,
+        total=payload["total"], seed=payload["seed"],
+    )
 
 
 class TestHistogramSerialization:
@@ -348,7 +390,7 @@ class TestHistogramSerialization:
         payload = json.loads(census_d3.to_json())
         assert set(payload) == {"d", "mode", "total", "classes", "mean", "seed"}
         assert payload["mean"] == {"num": 31, "den": 56}
-        assert ClassHistogram.from_json_dict(payload) == census_d3
+        assert histogram_from_json(payload) == census_d3
 
     def test_csv_layout(self):
         hist = classify_exhaustive(2)

@@ -343,12 +343,28 @@ class TestDimensionCap:
 
 class TestVerify:
     @pytest.mark.parametrize(
-        "target,d", [("mc-vs-formula", "1"), ("theorem4", "216"), ("theorem4", "217")]
+        "target,d",
+        [(target, "1") for target in cli.VERIFY_TARGETS]
+        + [("theorem4", "216"), ("theorem4", "217")],
     )
     def test_dimension_error_before_any_check(self, capsys, target, d):
         code, out, err = run(["verify", target, "--d", d, "--samples", "10"], capsys)
         assert code == 1 and out == ""
-        assert err.count("error:") == 1 and ("d >= 2" in err or "cap 215" in err)
+        if d == "1":
+            assert err == "error: entangling power needs d >= 2\n"
+        else:
+            assert err == f"error: d = {d} exceeds the supported cap 215\n"
+
+    @pytest.mark.parametrize(
+        "target,d,code,message",
+        [("theorem4", "6", 3, "side 6 exist"),
+         ("theorem4", "10", 3, "Bose-Shrikhande-Parker"),
+         ("tables", "4", 4, "reference census only available for d = 2, 3")],
+    )
+    def test_unsupported_side_before_any_check(self, capsys, target, d, code, message):
+        result, out, err = run(["verify", target, "--d", d], capsys)
+        assert result == code and out == ""
+        assert err.count("error:") == 1 and message in err
 
     def test_theorem7(self, capsys):
         code, out, _ = run(["verify", "theorem7"], capsys)
@@ -498,6 +514,18 @@ class TestArgumentBoundary:
         assert not any(tmp_path.iterdir())
         code, out, _ = run(["sample", "--d", "2", "--seed", str(2**32 - 1)], capsys)
         assert code == 0 and out.startswith("d=2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mols", "--d", "1", "--out", "p.txt"], ["power", "--builtin", "min:1"],
+         ["power", "--builtin", "identity", "--d", "1", "--out", "p.json"]],
+        ids=["mols", "power-min", "power-identity"],
+    )
+    def test_d1_exit_1(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "" and not any(tmp_path.iterdir())
+        assert err == "error: entangling power needs d >= 2\n"
 
     def test_other_errors_exit_1(self, capsys, tmp_path):
         code, _, err = run(
