@@ -8,6 +8,8 @@ orthogonal Latin squares, and tabulated across all permutations of small
 dimension.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceeded,
     DegenerateDimension,
@@ -58,7 +60,6 @@ from .oracle import (
     rezakhani_power,
     split_entropies,
     state_of_unitary,
-    swap_unitary,
     unitary_of,
 )
 from .latin import (
@@ -84,66 +85,8 @@ from .catalog import builtin_perm
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPerm",
-    "BlockConditions",
-    "BudgetExceeded",
-    "ClassHistogram",
-    "DegenerateDimension",
-    "DimensionMismatch",
-    "DimensionTooLarge",
-    "IndexOutOfRange",
-    "InsufficientSamples",
-    "LatinSquare",
-    "NonEntanglingWitness",
-    "NotBijection",
-    "NotOrthogonal",
-    "NotUnitary",
-    "OrthogonalPair",
-    "ParameterOrderViolation",
-    "ParseError",
-    "PermupowerError",
-    "PowerReport",
-    "PureState",
-    "RectangleFlags",
-    "Unitary",
-    "UnnormalizedState",
-    "UnsupportedOrder",
-    "WitnessKind",
-    "are_orthogonal",
-    "biperm_from_flat",
-    "biperm_to_flat",
-    "builtin_perm",
-    "check_block_conditions",
-    "class_bound",
-    "classify_exhaustive",
-    "classify_sampled",
-    "compose_with_swap",
-    "construct_mols",
-    "count_orthogonal_pairs",
-    "detect_non_entangling",
-    "e0_stats",
-    "entangling_power",
-    "enumerate_latin_squares",
-    "epsilon_from_q",
-    "exact_mean",
-    "format_biperm",
-    "identity_perm",
-    "is_latin",
-    "linear_entropy",
-    "mc_power",
-    "min_nonzero_perm",
-    "oracle_power",
-    "parse_biperm",
-    "q_of",
-    "random_perm",
-    "rectangle_flags",
-    "rezakhani_power",
-    "special_d6_perm",
-    "split_entropies",
-    "state_of_unitary",
-    "superimpose",
-    "swap_perm",
-    "swap_unitary",
-    "unitary_of",
-]
+# Every name imported above is public, and only those.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

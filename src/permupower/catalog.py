@@ -9,7 +9,8 @@ from __future__ import annotations
 from .errors import ParseError
 from .latin import construct_mols, special_d6_perm, superimpose
 from .perm_core import (
-    BiPerm, biperm_from_flat, check_dimension_cap, identity_perm, min_nonzero_perm, swap_perm
+    BiPerm, biperm_from_flat, check_dimension_cap, check_power_dimension, identity_perm,
+    min_nonzero_perm, swap_perm,
 )
 
 # d=2 controlled-not: |i j> -> |i, j + i - 1 mod 2>, flat one-line form.
@@ -46,8 +47,8 @@ def builtin_perm(name: str, d: int | None = None) -> BiPerm:
 
     `identity` and `swap` require d; `min:<d>` and `mols:<d>` carry their
     own dimension; `cnot`, `m` (d=2), `r9` (d=3) and `d6hat` (d=6) are
-    fixed instances.  A sized dimension is checked against the cap before
-    anything is built.
+    fixed instances.  Before anything is built, a dimension must be
+    positive and within the cap, and a `:<d>` one at least 2.
     """
     name = name.strip().lower()
     stem, colon, tail = name.partition(":")
@@ -63,9 +64,10 @@ def builtin_perm(name: str, d: int | None = None) -> BiPerm:
             d = int(tail)
         except ValueError:
             raise ParseError(f"builtin {name!r}: {tail!r} is not an integer") from None
-        if d < 1:
-            raise ParseError(f"builtin {name!r}: dimension must be positive")
     elif d is None:
         raise ParseError(f"builtin {name!r} needs an explicit dimension")
-    check_dimension_cap(d)
+    if d < 1:
+        raise ParseError(f"builtin {name!r}: dimension must be positive")
+    # a `:<d>` name exists only for its power, so it takes the power's domain
+    (check_power_dimension if kind == "own" else check_dimension_cap)(d)
     return build(d)

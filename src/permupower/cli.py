@@ -8,8 +8,8 @@ Exit codes:
   0  success
   1  any other invalid request, e.g. `classify --samples` below 2, d = 1
      where the entangling power is undefined (every command that reports
-     a power, with one message; `power --builtin mols:1` exits 3), or a
-     `--d` or builtin dimension above the cap of 215 (checked first)
+     a power, with one message), or a `--d` or builtin dimension above the
+     cap of 215 (checked first)
   2  unparsable input: a malformed, unreadable or non-UTF-8 file, an
      unknown builtin, or a bad argument (`--seed` outside [0, 2^32);
      `--d`, `--workers`, `--count` or `verify --samples` below 1; a

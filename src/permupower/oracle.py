@@ -11,9 +11,9 @@ and the entangling power is
 
     eps(U) = d/(d+1) * [S_L(|U>) + S_L(|US>) - 1]
 
-with S_L the linear entropy across the 12|34 cut.  Dense paths are capped
-at d <= 12 (d^4 amplitudes); they validate, they are not the production
-route.
+with S_L the linear entropy across the 12|34 cut.  Dense paths take
+2 <= d <= 12: the power needs d >= 2, and the cap bounds the d^4
+amplitudes.  They validate; they are not the production route.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     ParameterOrderViolation,
     UnnormalizedState,
 )
-from .perm_core import BiPerm, biperm_to_flat
+from .perm_core import BiPerm, biperm_to_flat, check_power_dimension
 
 COMPARISON_TOL = 1e-10  # value comparisons (formula vs oracle, entropies)
 STRUCTURE_TOL = 1e-12   # structural checks (unitarity, norms)
@@ -58,7 +58,8 @@ _CUT_NAMES = {
 
 
 def check_oracle_dimension(d: int) -> None:
-    """Raise BudgetExceeded if d is above the dense oracle's cap."""
+    """Raise unless the dense oracle accepts d: 2 <= d <= ORACLE_MAX_D."""
+    check_power_dimension(d)
     if d > ORACLE_MAX_D:
         raise BudgetExceeded(f"dense oracle capped at d <= {ORACLE_MAX_D}")
 
@@ -111,36 +112,24 @@ class PureState:
         self.amplitudes.setflags(write=False)
 
 
-def _permutation_unitary(d: int, rows: np.ndarray) -> Unitary:
-    """The 0/1 matrix with a 1 at (rows[c], c) for every column c.
+def unitary_of(perm: BiPerm) -> Unitary:
+    """Permutation matrix of a grid permutation (column = input cell).
 
-    Unitary exactly when every row is hit once, which an O(n) count checks
-    in place of the floating-point U^dag U test.
+    Column i*d + j holds its 1 at the row of the 0-based flat image,
+    (k_ij - 1)*d + (l_ij - 1).  The matrix is complex128 and read-only; it
+    is checked exactly as a permutation, every row hit once, not for
+    U^dag U = I to a tolerance.
     """
+    d = perm.d
+    check_oracle_dimension(d)
     n = d * d
+    rows = np.array(biperm_to_flat(perm)) - 1
     counts = np.bincount(rows, minlength=n)
     if counts.size != n or not (counts == 1).all():
         raise NotUnitary("image cells do not cover every basis state once")
     m = np.zeros((n, n), dtype=complex)
     m[rows, np.arange(n)] = 1.0
     return Unitary._trusted(d, m)
-
-
-def unitary_of(perm: BiPerm) -> Unitary:
-    """Permutation matrix of a grid permutation (column = input cell).
-
-    Column i*d + j holds its 1 at the row of the 0-based flat image,
-    (k_ij - 1)*d + (l_ij - 1).  The matrix is complex128 and read-only; it
-    is checked exactly as a permutation, not for U^dag U = I to a tolerance.
-    """
-    check_oracle_dimension(perm.d)
-    return _permutation_unitary(perm.d, np.array(biperm_to_flat(perm)) - 1)
-
-
-def swap_unitary(d: int) -> Unitary:
-    """The factor-exchange matrix |ij> -> |ji>: column i*d + j, row j*d + i."""
-    check_oracle_dimension(d)
-    return _permutation_unitary(d, np.arange(d * d).reshape(d, d).T.reshape(-1))
 
 
 def _amplitudes(u: Unitary) -> np.ndarray:
@@ -201,8 +190,7 @@ def oracle_power(u: Unitary) -> float:
 
 def split_entropies(u: Unitary) -> dict[str, float]:
     """Linear entropy of |U> across all seven bipartitions of the 4 parties."""
-    psi = state_of_unitary(u)
-    tensor = psi.amplitudes.reshape(psi.parts)
+    tensor = _amplitudes(u)
     return {name: _cut_entropy(tensor, axes) for name, axes in _CUT_NAMES.items()}
 
 

@@ -46,6 +46,10 @@ def test_bad_names():
         builtin_perm("min:x")
     with pytest.raises(ParseError):
         builtin_perm("mols:0")
+    with pytest.raises(ParseError, match="dimension must be positive"):
+        builtin_perm("identity", 0)
+    with pytest.raises(ParseError, match="dimension must be positive"):
+        builtin_perm("swap", -1)
 
 
 def test_case_insensitive():

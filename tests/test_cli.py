@@ -126,7 +126,7 @@ class TestPower:
         code, _, err = run(["power", "--builtin", "mols:6"], capsys)
         assert code == 3
 
-    @pytest.mark.parametrize("d,exit_code", [(1, 3), (6, 3), (216, 1), (218, 1)])
+    @pytest.mark.parametrize("d,exit_code", [(6, 3), (216, 1), (218, 1)])
     def test_mols_side_exit_code(self, capsys, d, exit_code):
         # above the cap every side exits 1, supported or not; below it an
         # unsupported side exits 3
@@ -518,8 +518,9 @@ class TestArgumentBoundary:
     @pytest.mark.parametrize(
         "argv",
         [["mols", "--d", "1", "--out", "p.txt"], ["power", "--builtin", "min:1"],
+         ["power", "--builtin", "mols:1"],
          ["power", "--builtin", "identity", "--d", "1", "--out", "p.json"]],
-        ids=["mols", "power-min", "power-identity"],
+        ids=["mols", "power-min", "power-mols", "power-identity"],
     )
     def test_d1_exit_1(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

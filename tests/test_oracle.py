@@ -10,6 +10,7 @@ import pytest
 
 from permupower import (
     BudgetExceeded,
+    DegenerateDimension,
     InsufficientSamples,
     NotUnitary,
     ParameterOrderViolation,
@@ -29,7 +30,6 @@ from permupower import (
     superimpose,
     construct_mols,
     swap_perm,
-    swap_unitary,
     unitary_of,
 )
 from permupower import oracle as oracle_module
@@ -107,9 +107,12 @@ class TestStateOfUnitary:
         with pytest.raises(NotUnitary):
             Unitary(2, np.ones((4, 4)))
 
-    def test_oracle_dimension_cap(self):
-        with pytest.raises(BudgetExceeded):
-            Unitary(13, np.eye(169))
+    @pytest.mark.parametrize("d,error", [(13, BudgetExceeded), (1, DegenerateDimension)])
+    def test_oracle_dimension_cap(self, d, error):
+        with pytest.raises(error):
+            Unitary(d, np.eye(d * d))
+        with pytest.raises(error):
+            unitary_of(identity_perm(d))
 
 
 class TestOraclePower:
@@ -164,7 +167,7 @@ class TestSplitEntropies:
                 haar_unitary(d * d, rng),
             ):
                 u = Unitary(d, u_mat)
-                us = Unitary(d, u.matrix @ swap_unitary(d).matrix)
+                us = Unitary(d, u.matrix @ unitary_of(swap_perm(d)).matrix)
                 lhs = linear_entropy(state_of_unitary(us), (1, 2))
                 rhs = split_entropies(u)["14|23"]
                 assert lhs == pytest.approx(rhs, abs=TOL)
@@ -281,7 +284,7 @@ def reference_matrix(perm):
 def reference_power(u):
     """eps(U) from the definition: two state entropies, US by a matrix product."""
     d = u.d
-    us = Unitary(d, u.matrix @ swap_unitary(d).matrix)
+    us = Unitary(d, u.matrix @ unitary_of(swap_perm(d)).matrix)
     s_u = linear_entropy(state_of_unitary(u), (1, 2))
     s_us = linear_entropy(state_of_unitary(us), (1, 2))
     return d / (d + 1) * (s_u + s_us - 1.0)
@@ -307,22 +310,9 @@ class TestPermutationUnitaries:
         for d in (3, 4, 5, 7, 8, 9, 11, 12):
             self.assert_matches_definition(builtin_perm(f"mols:{d}"))
 
-    def test_swap_unitary(self):
-        for d in range(2, 13):
-            u = swap_unitary(d)
-            expected = np.zeros((d * d, d * d))
-            for i in range(d):
-                for j in range(d):
-                    expected[j * d + i, i * d + j] = 1.0
-            assert u.matrix.dtype == np.complex128
-            assert not u.matrix.flags.writeable
-            assert np.array_equal(u.matrix, expected)
-
     def test_cap(self, rng):
         with pytest.raises(BudgetExceeded):
             unitary_of(random_perm(13, rng))
-        with pytest.raises(BudgetExceeded):
-            swap_unitary(13)
 
     def test_repeated_image_rejected(self):
         # an unvalidated grid that sends two cells to (1, 1)

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "format_biperm", "identity_perm", "is_latin", "linear_entropy", "mc_power", "min_nonzero_perm",
     "oracle_power", "parse_biperm", "q_of", "random_perm",
     "rectangle_flags", "rezakhani_power", "special_d6_perm", "split_entropies",
-    "state_of_unitary", "superimpose", "swap_perm", "swap_unitary", "unitary_of",
+    "state_of_unitary", "superimpose", "swap_perm", "unitary_of",
 ]
 
 # Module-level helpers that other modules of the package share.
