@@ -22,12 +22,13 @@ import math
 import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import BudgetExceeded, InsufficientSamples
 from .perm_core import check_power_dimension, lex_blocks, random_blocks
@@ -156,6 +157,8 @@ def _histogram_from_q_counts(
 
 def _q_histogram(blocks: Iterable[np.ndarray], d: int) -> Counter:
     """Q_P + Q_PS histogram over blocks of flat 0-based permutations."""
+    import numpy as np
+
     counts: Counter = Counter()
     for flat in blocks:
         values, hits = np.unique(q_totals_batch(flat, d), return_counts=True)
@@ -175,6 +178,8 @@ def _stratum_q_counts(d: int, stratum: int) -> Counter:
 
 def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
     """Q_P + Q_PS histogram of `count` uniform permutations from chunk `chunk_index`."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, chunk_index])
     return _q_histogram(random_blocks(d * d, count, rng), d)
 
@@ -182,6 +187,11 @@ def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
 def _run_units(fn: Callable, units: list[tuple], workers: int) -> Iterator:
     """Yield fn(*unit) for each unit in order, serially or in a process pool."""
     if workers > 1 and len(units) > 1:
+        # numpy is imported before the pool forks, so that the children
+        # share the parent's copy rather than each importing its own.
+        import numpy
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
             yield from pool.map(fn, *zip(*units))
     else:

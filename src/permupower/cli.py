@@ -40,8 +40,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import golden
 from .catalog import BUILTIN_NAMES, builtin_perm
 from .classify import (
@@ -329,6 +327,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ParseError("sample needs --d")
     # row r of random_blocks is the r-th rng.permutation draw, so this writes
     # format_biperm(random_perm(d, rng)) for each draw, as it is drawn
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     head = f"d={d}\n"
     with _output(args.out) as stream:
@@ -355,6 +355,8 @@ def _check(label: str, ok: bool, expected, actual) -> None:
 
 
 def _verify_formula_vs_oracle(args: argparse.Namespace, d: int) -> None:
+    import numpy as np
+
     samples = args.samples or 100
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -384,6 +386,8 @@ def _mc_within(perm, label: str, samples: int, seed: int) -> None:
 
 
 def _verify_mc_vs_formula(args: argparse.Namespace, d: int) -> None:
+    import numpy as np
+
     samples = args.samples or 100_000
     _mc_within(builtin_perm("cnot"), "cnot", samples, args.seed)
     _mc_within(builtin_perm("r9"), "r9", samples, args.seed + 101)
@@ -422,6 +426,7 @@ def _verify_theorem7(args: argparse.Namespace, d: int) -> None:
 
 
 def _check_reference_census(d: int) -> None:
+    check_power_dimension(d)
     if d not in golden.EXPECTED_CENSUS:
         known = ", ".join(map(str, golden.EXPECTED_CENSUS))
         raise BudgetExceeded(f"reference census only available for d = {known}")
@@ -440,12 +445,13 @@ def _verify_tables(args: argparse.Namespace, d: int) -> None:
 
 
 # `verify` target name -> (the checks at one side d, the sides checked
-# without --d, a check each side must pass before any output, or None)
+# without --d, the check each side must pass before any output; each
+# side check applies the d >= 2 rule first)
 VERIFY_TARGETS = {
     "formula-vs-oracle": (_verify_formula_vs_oracle, (3,), check_oracle_dimension),
     "mc-vs-formula": (_verify_mc_vs_formula, (3,), check_oracle_dimension),
-    "theorem4": (_verify_theorem4, (3, 4, 5, 7, 8, 9, 11, 12), None),
-    "theorem7": (_verify_theorem7, tuple(range(2, 9)), None),
+    "theorem4": (_verify_theorem4, (3, 4, 5, 7, 8, 9, 11, 12), check_power_dimension),
+    "theorem7": (_verify_theorem7, tuple(range(2, 9)), check_power_dimension),
     "tables": (_verify_tables, tuple(golden.EXPECTED_CENSUS), _check_reference_census),
 }
 
@@ -454,9 +460,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run_side, sides, check_side = VERIFY_TARGETS[args.target]
     sides = sides if args.d is None else (args.d,)
     for d in sides:  # every side is checked before the first line is printed
-        check_power_dimension(d)
-        if check_side is not None:
-            check_side(d)
+        check_side(d)
     try:
         for d in sides:
             run_side(args, d)

@@ -23,8 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import IndexOutOfRange
 from .perm_core import (
@@ -95,6 +97,8 @@ def _line_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i == j first; row t of the (2d, d) third table holds line t's flat
     cells in order.
     """
+    import numpy as np
+
     i, j = np.triu_indices(d, 1)
     diagonal = np.arange(2 * d)
     grid = np.arange(d * d).reshape(d, d)
@@ -130,6 +134,8 @@ def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
     indices once, outside the loop over permutations, and the kernel holds
     O(d^2 + KEY_BUDGET) elements at any d.
     """
+    import numpy as np
+
     check_dimension_cap(d)
     nb = flat.shape[0]
     first, second, line_cells = _line_pairs(d)

@@ -18,9 +18,11 @@ amplitudes.  They validate; they are not the production route.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -70,6 +72,8 @@ class Unitary:
     __slots__ = ("d", "matrix")
 
     def __init__(self, d: int, matrix: np.ndarray):
+        import numpy as np
+
         check_oracle_dimension(d)
         matrix = np.asarray(matrix, dtype=complex)
         n = d * d
@@ -98,6 +102,8 @@ class PureState:
     __slots__ = ("parts", "amplitudes")
 
     def __init__(self, parts: Sequence[int], amplitudes: np.ndarray):
+        import numpy as np
+
         parts = tuple(int(p) for p in parts)
         amplitudes = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amplitudes.size != int(np.prod(parts)):
@@ -120,6 +126,8 @@ def unitary_of(perm: BiPerm) -> Unitary:
     is checked exactly as a permutation, every row hit once, not for
     U^dag U = I to a tolerance.
     """
+    import numpy as np
+
     d = perm.d
     check_oracle_dimension(d)
     n = d * d
@@ -154,6 +162,8 @@ def _cut_entropy(tensor: np.ndarray, keep: Sequence[int]) -> float:
     the cut; the tensor may be float64 or complex.  Normalized by D/(D-1)
     with D the smaller side's dimension.
     """
+    import numpy as np
+
     rest = [a for a in range(tensor.ndim) if a not in keep]
     rows = int(np.prod([tensor.shape[a] for a in keep]))
     mat = tensor.transpose(*keep, *rest).reshape(rows, -1)
@@ -169,6 +179,8 @@ def linear_entropy(psi: PureState, cut: Sequence[int]) -> float:
     `cut` lists 1-based parts.  Normalized by D/(D-1) with D the smaller
     side's dimension: 0 for product states, 1 for maximally entangled ones.
     """
+    import numpy as np
+
     norm = float(np.linalg.norm(psi.amplitudes))
     if abs(norm - 1.0) > STRUCTURE_TOL:
         raise UnnormalizedState(f"norm {norm} deviates from 1")
@@ -206,6 +218,8 @@ def mc_power(u: Unitary, samples: int, seed: int) -> tuple[float, float]:
     cells, so working memory is O(MC_CHUNK * d + MC_TILE_CELLS) at any d
     and sample count.
     """
+    import numpy as np
+
     if samples < 2:
         raise InsufficientSamples("need at least 2 samples for a standard error")
     d = u.d
@@ -243,9 +257,9 @@ def rezakhani_power(c1: float, c2: float, c3: float) -> float:
     Valid on the canonical chamber |c3| <= c2 <= c1 <= pi/4:
     1/3 - (1/9) [cos4c1 cos4c2 + cos4c1 cos4c3 + cos4c2 cos4c3].
     """
-    if not (abs(c3) <= c2 + 1e-15 and c2 <= c1 + 1e-15 and c1 <= np.pi / 4 + 1e-15):
+    if not (abs(c3) <= c2 + 1e-15 and c2 <= c1 + 1e-15 and c1 <= math.pi / 4 + 1e-15):
         raise ParameterOrderViolation(
             f"need |c3| <= c2 <= c1 <= pi/4, got ({c1}, {c2}, {c3})"
         )
-    f1, f2, f3 = np.cos(4 * c1), np.cos(4 * c2), np.cos(4 * c3)
+    f1, f2, f3 = math.cos(4 * c1), math.cos(4 * c2), math.cos(4 * c3)
     return 1.0 / 3.0 - (f1 * f2 + f1 * f3 + f2 * f3) / 9.0

@@ -31,9 +31,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     DegenerateDimension, DimensionMismatch, DimensionTooLarge, NotBijection, ParseError
@@ -284,6 +285,8 @@ def _lex_table(r: int) -> np.ndarray:
 
     Read-only, since every caller in the process shares it.
     """
+    import numpy as np
+
     table = np.array(list(itertools.permutations(range(r))), dtype=np.uint8)
     table.flags.writeable = False
     return table
@@ -314,6 +317,8 @@ def lex_blocks(n: int, start: int = 0, stop: int | None = None) -> Iterator[np.n
     index the remaining symbols with the cached lexicographic table of
     range(r).
     """
+    import numpy as np
+
     r = 1
     while r < n and math.factorial(r + 1) * n <= BLOCK_CELLS:
         r += 1
@@ -342,6 +347,8 @@ def random_blocks(n: int, count: int, rng: np.random.Generator) -> Iterator[np.n
     draw: a consumer may change a block in place, but must not keep it past
     its loop step.
     """
+    import numpy as np
+
     rows = max(1, BLOCK_CELLS // n)
     base = np.arange(n, dtype=np.int32)
     buffer = np.empty((min(rows, count), n), dtype=np.int32)

@@ -311,7 +311,8 @@ def test_pool_no_larger_than_the_units(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", InProcessPool)
+    # _run_units imports the pool class when it opens a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     assert classify_exhaustive(2, workers=64).classes == D2_CLASSES  # 4 strata
     units = [(2, 3), (3, 2), (4, 1)]
     for workers in (8, 2):

@@ -1,8 +1,13 @@
 """Command line surface: outputs, formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,3 +552,74 @@ class TestConfig:
         _, out1, _ = run(["sample", "--d", "3"], capsys)
         _, out2, _ = run(["sample", "--d", "3"], capsys)
         assert out1 == out2
+
+
+class TestStartup:
+    """numpy and the process pool load only in the commands that use them.
+
+    Each check runs in a fresh interpreter, since this one has numpy loaded.
+    """
+
+    @staticmethod
+    def fresh(code, cwd):
+        """Run `code` in a fresh interpreter; return its last stdout line, as JSON."""
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)], cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_loads_neither_numpy_nor_multiprocessing(self, tmp_path):
+        loaded = self.fresh("""
+            import json, sys
+            import permupower.cli
+            print(json.dumps(["numpy" in sys.modules, "multiprocessing" in sys.modules]))
+        """, tmp_path)
+        assert loaded == [False, False]
+
+    def test_integer_commands_never_load_numpy(self, tmp_path):
+        # per command: its exit code, and whether numpy is loaded after it
+        after = self.fresh("""
+            import json, sys
+            from permupower import cli
+            after = []
+            for argv in (
+                ["power", "--builtin", "min:7"],
+                ["mols", "--d", "7", "--out", "pair.txt"],
+                ["verify", "theorem7"],
+                ["verify", "theorem4", "--d", "5"],
+            ):
+                after.append([cli.main(argv), "numpy" in sys.modules])
+            print(json.dumps(after))
+        """, tmp_path)
+        assert after == [[0, False]] * 4
+
+    def test_numpy_loaded_before_the_pool_forks(self, tmp_path):
+        # a stand-in pool records what is loaded when the pool is constructed
+        result = self.fresh("""
+            import concurrent.futures, json, sys
+            from permupower import cli
+            opened = []
+
+            class RecordingPool:
+                def __init__(self, max_workers):
+                    opened.append(["numpy" in sys.modules, max_workers])
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def map(self, fn, *iterables):
+                    return map(fn, *iterables)
+
+            concurrent.futures.ProcessPoolExecutor = RecordingPool
+            argv = ["classify", "--d", "2", "--exhaustive", "--workers", "2",
+                    "--out", "census.json"]
+            print(json.dumps([cli.main(argv), opened]))
+        """, tmp_path)
+        assert result == [0, [[True, 2]]]
