@@ -23,7 +23,6 @@ from .errors import (
     ParameterOrderViolation,
     ParseError,
     PermupowerError,
-    UnnormalizedState,
     UnsupportedOrder,
 )
 from .perm_core import (
@@ -52,14 +51,11 @@ from .entangle import (
     rectangle_flags,
 )
 from .oracle import (
-    PureState,
     Unitary,
-    linear_entropy,
     mc_power,
     oracle_power,
     rezakhani_power,
     split_entropies,
-    state_of_unitary,
     unitary_of,
 )
 from .latin import (

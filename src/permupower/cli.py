@@ -17,7 +17,8 @@ Exit codes:
      not take, such as `--format` outside `power` and `classify`, `--seed`
      or `--workers` on `mols`, `--workers` on `sample`, `--out` on
      `verify`, or `classify --samples` with `--checkpoint-dir` or
-     `--force`; a `--format` it does not write)
+     `--force`; a `--format` it does not write; a `classify --out` in a
+     directory that does not exist, checked before the census runs)
   3  unsupported Latin square order
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
      overrides it), the dense oracle's cap of d <= 12 on the two dense
@@ -263,6 +264,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise ParseError("--checkpoint-dir applies to exhaustive runs only")
     if args.force and not args.exhaustive:
         raise ParseError("--force applies to exhaustive runs only")
+    mode = "exhaustive" if args.exhaustive else "sampled"
+    out = args.out if args.out is not None else Path(f"classify-d{d}-{mode}.{args.format}")
+    if not out.parent.is_dir():  # before the census, which may run for hours
+        raise ParseError(f"--out {out}: no directory {out.parent}")
     if args.exhaustive:
         hist = classify_exhaustive(
             d, workers=args.workers, force=args.force,
@@ -272,9 +277,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         hist = classify_sampled(d, args.samples, args.seed, workers=args.workers)
 
     payload = hist.to_csv() if args.format == "csv" else hist.to_json() + "\n"
-    out = args.out
-    if out is None:
-        out = Path(f"classify-d{d}-{hist.mode}.{args.format}")
     out.write_text(payload)
 
     mean = hist.mean()

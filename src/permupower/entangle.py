@@ -94,8 +94,9 @@ def _line_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Lines 0..d-1 are the grid rows (pairs for Q_P), lines d..2d-1 the grid
     columns (pairs for Q_PS, which is Q of the transposed grid).  The first
     two tables hold the line indices of the d(d+1) pairs, the 2d pairs with
-    i == j first; row t of the (2d, d) third table holds line t's flat
-    cells in order.
+    i == j first, so a pair counts towards Q_PS exactly when its first line
+    is a column; row t of the (2d, d) third table holds line t's flat cells
+    in order.
     """
     import numpy as np
 
@@ -109,78 +110,88 @@ def _line_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def _tile_shape(d: int) -> tuple[int, int]:
+    """Line pairs and permutations per tile of `q_totals_batch`.
+
+    A tile holds at most KEY_BUDGET cells of line pairs, d to a pair:
+    every line pair of several permutations while the d(d+1) pairs of one
+    fit, and blocks of one permutation's line pairs from d = 40 up.
+    """
+    pairs_per_tile = min(d * (d + 1), max(1, KEY_BUDGET // d))
+    return pairs_per_tile, max(1, KEY_BUDGET // (pairs_per_tile * d))
+
+
 def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
     """Q_P + Q_PS for a batch of flat permutations.
 
     flat: (B, d*d) array of 0-based images, row-major cell order.
     Returns an int64 array of length B.
 
-    For a line pair (i, j), column m gets the key k_im*d + k_jm when
-    l_im == l_jm and the sentinel d^2 + m otherwise.  A group of c equal
-    keys contributes c^2 to the rectangle count, each sentinel (a group of
-    one) contributes nothing, so f(i, j) = sum c^2 - #sentinels.  After a
-    sort, the element at rank r within its run of equal keys closes r
-    equal pairs, and sum c^2 = sum over elements of (2r + 1); hence
-    f(i, j) = #matched + 2 sum r.  Q_P sums f over ordered row pairs,
-    f(i, j) = f(j, i), so pairs with i < j count twice.  Q_PS is the same
-    sum over column pairs.
+    Q_P sums f(i, j) = sum_kappa c_ijkappa^2 over ordered row pairs, with
+    c_ijkappa = #{m : l_im = l_jm, (k_im, k_jm) = kappa} as in `q_of`, and
+    Q_PS is the same sum over column pairs.
+    - For i == j every column agrees on l, so f(i, i) is the sum of
+      r_ikappa^2 with r_ikappa = #{m : k_im = kappa}: one bincount over
+      (permutation, line, kappa), d bins to a line, with no sort.
+    - For i < j only the columns with l_im == l_jm add to f.  Their keys
+      (side, permutation, pair, k_im, k_jm) alone are kept and sorted, and
+      a run of c equal keys adds 2 c^2, as f(i, j) = f(j, i).
 
-    The work is cut into tiles of at most KEY_BUDGET keys: whole
-    permutations at a time for small d, and blocks of line pairs of one
-    permutation once d(d+1) lines of d keys exceed the budget.  Within a
-    tile, line t's keys are offset by t(d^2 + d), so one flat sort orders
-    every line in place and no run crosses two lines.  The pair tables
-    hold line indices, so each block of line pairs expands to its cell
-    indices once, outside the loop over permutations, and the kernel holds
-    O(d^2 + KEY_BUDGET) elements at any d.
+    The work is cut into tiles of at most KEY_BUDGET line-pair cells
+    (`_tile_shape`), so no per-tile array has more elements than that, and
+    the keys stay below 2 KEY_BUDGET d, which int32 holds.  The pair
+    tables hold line indices, so each block of line pairs expands to its
+    cell indices once, outside the loop over permutations, and the kernel
+    holds O(d^2 + KEY_BUDGET) elements at any d.  Q_P and Q_PS are summed
+    apart until the end.
     """
     import numpy as np
 
     check_dimension_cap(d)
     nb = flat.shape[0]
     first, second, line_cells = _line_pairs(d)
-    n_lines = first.shape[0]
-    span = d * d + d
-    lines_per_tile = min(n_lines, max(1, KEY_BUDGET // d))
-    perms_per_tile = max(1, KEY_BUDGET // (lines_per_tile * d))
-    n_max = perms_per_tile * lines_per_tile * d
-    # keys < KEY_BUDGET * (d + 1), so int32 holds them for any d
-    sentinel = np.tile(d * d + np.arange(d, dtype=np.int32), n_max // d)
-    line_offset = np.repeat(np.arange(n_max // d, dtype=np.int32) * span, d)
-    offset_sentinel = sentinel + line_offset
-    positions = np.arange(n_max, dtype=np.int32)
-
-    totals = np.zeros(nb, dtype=np.int64)
-    for p0 in range(0, n_lines, lines_per_tile):
-        a = line_cells[first[p0 : p0 + lines_per_tile]]
-        b = line_cells[second[p0 : p0 + lines_per_tile]]
-        n_diag = min(max(2 * d - p0, 0), a.shape[0]) * d
+    n_pairs, dd = first.shape[0], d * d
+    pairs_per_tile, perms_per_tile = _tile_shape(d)
+    tile_row = np.arange(perms_per_tile)[:, None]
+    counts = np.zeros((2, nb), dtype=np.int64)  # Q_P, Q_PS of each permutation
+    for p0 in range(0, n_pairs, pairs_per_tile):
+        p1 = min(p0 + pairs_per_tile, n_pairs)
+        q0 = max(p0, min(p1, 2 * d))  # pairs [p0, q0) have i == j, [q0, p1) i < j
+        # the i == j lines' cells and each cell's bin (permutation, line, 0);
+        # row lines come before column lines
+        diag_cells = line_cells[first[p0:q0]].ravel()
+        diag_bins = np.repeat((tile_row * (q0 - p0) + np.arange(q0 - p0)) * d, d, axis=1)
+        row_cells = np.count_nonzero(first[p0:q0] < d) * d
+        # each pair's cells, and its key offset (side, permutation, pair)
+        cells_a = line_cells[first[q0:p1]].ravel()
+        cells_b = line_cells[second[q0:p1]].ravel()
+        segment = (first[q0:p1] >= d) * perms_per_tile + tile_row
+        key_offset = np.repeat((segment * (p1 - q0) + np.arange(p1 - q0)) * dd, d, axis=1)
+        key_offset = key_offset.astype(np.int32)
         for lo in range(0, nb, perms_per_tile):
-            cells = flat[lo : lo + perms_per_tile].astype(np.int32)
-            k = cells // d
-            l = cells - k * d
-            matched = (l[:, a] == l[:, b]).reshape(-1)
-            n = matched.size
-            keys = (k[:, a] * d + k[:, b]).reshape(-1)
-            # np.where(matched, keys, sentinel) + offset, in arithmetic:
-            # np.where runs about ten times slower on a random mask
-            keys -= sentinel[:n]
-            keys *= matched
-            keys += offset_sentinel[:n]
-            keys.sort()
-            run_start = np.empty(n, dtype=bool)
-            run_start[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-            rank = positions[:n] * run_start
-            np.maximum.accumulate(rank, out=rank)
-            np.subtract(positions[:n], rank, out=rank)
-            rank *= 2
-            rank += matched
-            f = rank.reshape(cells.shape[0], -1)
-            tile = 2 * f.sum(axis=1, dtype=np.int64)
-            tile -= f[:, :n_diag].sum(axis=1, dtype=np.int64)  # i == j once
-            totals[lo : lo + cells.shape[0]] += tile
-    return totals
+            k, l = np.divmod(flat[lo : lo + perms_per_tile].astype(np.int32), d)
+            b = k.shape[0]
+            tile = counts[:, lo : lo + b]
+            if q0 > p0:
+                bins = (k[:, diag_cells] + diag_bins[:b]).ravel()
+                r = np.bincount(bins, minlength=diag_bins.size)
+                r *= r
+                r = r.reshape(perms_per_tile, -1)[:b]
+                tile[0] += r[:, :row_cells].sum(axis=1)
+                tile[1] += r[:, row_cells:].sum(axis=1)
+            if p1 > q0:
+                matched = l[:, cells_a] == l[:, cells_b]
+                keys = (k[:, cells_a] * d + k[:, cells_b] + key_offset[:b])[matched]
+                runs, c = np.unique(keys, return_counts=True)
+                # sum c^2 over the runs of each (side, permutation): runs
+                # come sorted by segment, so differences of the running sum
+                # at each segment's end give it
+                c_sq = np.zeros(c.size + 1, dtype=np.int64)
+                np.cumsum(c * c, out=c_sq[1:])
+                per_segment = np.bincount(runs // ((p1 - q0) * dd), minlength=2 * perms_per_tile)
+                f = np.diff(c_sq[np.cumsum(per_segment)], prepend=0)
+                tile += 2 * f.reshape(2, perms_per_tile)[:, :b]
+    return counts.sum(axis=0)
 
 
 def epsilon_denominator(d: int) -> int:

@@ -33,10 +33,6 @@ class NotUnitary(PermupowerError):
     """Matrix fails the unitarity check."""
 
 
-class UnnormalizedState(PermupowerError):
-    """State vector norm deviates from 1 beyond tolerance."""
-
-
 class InsufficientSamples(PermupowerError):
     """Too few samples for the requested estimate."""
 

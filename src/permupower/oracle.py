@@ -29,12 +29,11 @@ from .errors import (
     InsufficientSamples,
     NotUnitary,
     ParameterOrderViolation,
-    UnnormalizedState,
 )
 from .perm_core import BiPerm, biperm_to_flat, check_power_dimension
 
 COMPARISON_TOL = 1e-10  # value comparisons (formula vs oracle, entropies)
-STRUCTURE_TOL = 1e-12   # structural checks (unitarity, norms)
+STRUCTURE_TOL = 1e-12   # structural checks (unitarity)
 
 ORACLE_MAX_D = 12
 
@@ -96,28 +95,6 @@ class Unitary:
         return obj
 
 
-class PureState:
-    """State vector over listed local dimensions, unit norm enforced."""
-
-    __slots__ = ("parts", "amplitudes")
-
-    def __init__(self, parts: Sequence[int], amplitudes: np.ndarray):
-        import numpy as np
-
-        parts = tuple(int(p) for p in parts)
-        amplitudes = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amplitudes.size != int(np.prod(parts)):
-            raise UnnormalizedState(
-                f"{amplitudes.size} amplitudes for parts {parts}"
-            )
-        norm = float(np.linalg.norm(amplitudes))
-        if abs(norm - 1.0) > STRUCTURE_TOL:
-            raise UnnormalizedState(f"norm {norm} deviates from 1")
-        self.parts = parts
-        self.amplitudes = amplitudes.copy()
-        self.amplitudes.setflags(write=False)
-
-
 def unitary_of(perm: BiPerm) -> Unitary:
     """Permutation matrix of a grid permutation (column = input cell).
 
@@ -150,11 +127,6 @@ def _amplitudes(u: Unitary) -> np.ndarray:
     return matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3) / d
 
 
-def state_of_unitary(u: Unitary) -> PureState:
-    """4-party state of an operator: amp(k,i,l,m) = <kl|U|im> / d."""
-    return PureState((u.d,) * 4, _amplitudes(u))
-
-
 def _cut_entropy(tensor: np.ndarray, keep: Sequence[int]) -> float:
     """Linear entropy of a normalized amplitude tensor across `keep` | rest.
 
@@ -171,20 +143,6 @@ def _cut_entropy(tensor: np.ndarray, keep: Sequence[int]) -> float:
     purity = float(np.vdot(gram, gram).real)
     dim = min(mat.shape)
     return dim / (dim - 1) * (1.0 - purity)
-
-
-def linear_entropy(psi: PureState, cut: Sequence[int]) -> float:
-    """Linear entropy across the bipartition (`cut` | complement).
-
-    `cut` lists 1-based parts.  Normalized by D/(D-1) with D the smaller
-    side's dimension: 0 for product states, 1 for maximally entangled ones.
-    """
-    import numpy as np
-
-    norm = float(np.linalg.norm(psi.amplitudes))
-    if abs(norm - 1.0) > STRUCTURE_TOL:
-        raise UnnormalizedState(f"norm {norm} deviates from 1")
-    return _cut_entropy(psi.amplitudes.reshape(psi.parts), [k - 1 for k in cut])
 
 
 def oracle_power(u: Unitary) -> float:

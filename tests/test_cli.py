@@ -216,6 +216,23 @@ class TestClassify:
         assert code == 0
         assert out_file.read_text().splitlines()[0].startswith("epsilon_num")
 
+    @pytest.mark.parametrize(
+        "mode", [["--exhaustive"], ["--samples", "1000"]], ids=["exhaustive", "sampled"]
+    )
+    def test_missing_out_directory_exit_2_before_census(
+        self, capsys, tmp_path, monkeypatch, mode
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("census ran before --out was checked")
+
+        monkeypatch.setattr(cli, "classify_exhaustive", refuse)
+        monkeypatch.setattr(cli, "classify_sampled", refuse)
+        out_file = tmp_path / "missing" / "census.json"
+        code, out, err = run(["classify", "--d", "3", *mode, "--out", str(out_file)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and str(tmp_path / "missing") in err
+        assert not out_file.parent.exists()
+
 
 class TestMols:
     def test_writes_pair_and_perm(self, capsys, tmp_path):

@@ -188,12 +188,22 @@ class TestQOf:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("d, bound_mib", [(100, 8), (215, 16)])
-    def test_batch_memory_bounded(self, d, bound_mib):
+    @pytest.mark.parametrize(
+        "d, bound_mib, identity",
+        [pytest.param(100, 8, False, id="100-8"),
+         pytest.param(215, 16, False, id="215-16"),
+         pytest.param(215, 16, True, id="215-16-identity")],
+    )
+    def test_batch_memory_bounded(self, d, bound_mib, identity):
         # the d(d+1) x d cells of all line pairs would take 31 MiB at
         # d = 100 and 305 MiB at d = 215 once tabled; only the O(d^2) line
-        # tables and the KEY_BUDGET tiles may stay
-        flat = np.random.default_rng(d).permutation(d * d)[None, :]
+        # tables and the KEY_BUDGET tiles may stay.  Every row pair of the
+        # identity agrees on l in every column, so none of its row-pair
+        # keys is dropped before the sort.
+        if identity:
+            flat = np.arange(d * d)[None, :]
+        else:
+            flat = np.random.default_rng(d).permutation(d * d)[None, :]
         tracemalloc.start()
         try:
             q_totals_batch(flat, d)
@@ -236,11 +246,31 @@ class TestQOf:
 
     @pytest.mark.parametrize("d", [3, 8, 12])
     def test_batch_spanning_tiles(self, d):
-        per_tile = entangle.KEY_BUDGET // (d * d * (d + 1))
+        per_tile = entangle._tile_shape(d)[1]
         perms = random_biperms(300 + d, d, 2 * per_tile + 7)
         perms += [identity_perm(d), swap_perm(d), superimpose(construct_mols(d))]
         assert len(perms) > 2 * per_tile >= 2
         assert q_totals_batch(flat_batch(perms), d).tolist() == scalar_totals(perms)
+
+    @pytest.mark.parametrize("d", [3, 8, 12])
+    @pytest.mark.parametrize("kind", ["identity-like", "mols"])
+    def test_batch_extremes_spanning_tiles(self, d, kind):
+        # identity-like: every row pair agrees on l in every column, so
+        # every row-pair key is sorted; MOLS: L is Latin, so no pair of
+        # distinct lines agrees anywhere and only the i == j lines count
+        per_tile = entangle._tile_shape(d)[1]
+        n = 2 * per_tile + 7
+        if kind == "identity-like":
+            perms = [local_perm(d, seed, WitnessKind.IDENTITY_LIKE) for seed in range(n)]
+            expected = d**4 + d * d
+        else:
+            gen = np.random.default_rng(d)
+            mols = superimpose(construct_mols(d))
+            perms = [relabel(mols, *(gen.permutation(d).tolist() for _ in range(4)))
+                     for _ in range(n)]
+            expected = 2 * d * d
+        totals = q_totals_batch(flat_batch(perms), d).tolist()
+        assert totals == scalar_totals(perms) == [expected] * n
 
     @pytest.mark.parametrize("budget", [1, 7, 30, 61, 200])
     def test_batch_tiling_leaves_totals(self, monkeypatch, budget):

@@ -1,4 +1,9 @@
-"""Dense linear-algebra path: states, entropies, and the defining integral."""
+"""Dense linear-algebra path: states, entropies, and the defining integral.
+
+The 4-party state of an operator and its linear entropy are built here,
+entry by entry and as tr(rho^2) of the reduced density matrix, as the
+reference route that the oracle's own tensor and purity are checked
+against."""
 
 import ast
 import math
@@ -14,19 +19,15 @@ from permupower import (
     InsufficientSamples,
     NotUnitary,
     ParameterOrderViolation,
-    PureState,
-    UnnormalizedState,
     Unitary,
     entangling_power,
     identity_perm,
-    linear_entropy,
     mc_power,
     min_nonzero_perm,
     oracle_power,
     random_perm,
     rezakhani_power,
     split_entropies,
-    state_of_unitary,
     superimpose,
     construct_mols,
     swap_perm,
@@ -40,6 +41,51 @@ from permupower.perm_core import BiPerm
 from conftest import all_biperms, random_biperms
 
 TOL = COMPARISON_TOL
+
+
+class UnnormalizedState(Exception):
+    """State vector norm deviates from 1 beyond tolerance."""
+
+
+class PureState:
+    """State vector over listed local dimensions, unit norm enforced."""
+
+    def __init__(self, parts, amplitudes):
+        self.parts = tuple(int(p) for p in parts)
+        self.amplitudes = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if self.amplitudes.size != math.prod(self.parts):
+            raise UnnormalizedState(f"{self.amplitudes.size} amplitudes for parts {self.parts}")
+        norm = float(np.linalg.norm(self.amplitudes))
+        if abs(norm - 1.0) > 1e-12:
+            raise UnnormalizedState(f"norm {norm} deviates from 1")
+
+
+def state_of_unitary(u):
+    """4-party state of an operator: amp(k,i,l,m) = <kl|U|im> / d."""
+    d = u.d
+    amp = np.empty((d,) * 4, dtype=complex)
+    for k, i, l, m in np.ndindex(amp.shape):
+        amp[k, i, l, m] = u.matrix[k * d + l, i * d + m] / d
+    return PureState((d,) * 4, amp)
+
+
+def linear_entropy(psi, cut):
+    """Linear entropy across the bipartition (`cut` | complement).
+
+    `cut` lists 1-based parts.  The reduced density matrix rho of the cut
+    gives the purity tr(rho^2), normalized by D/(D-1) with D the smaller
+    side's dimension: 0 for product states, 1 for maximally entangled ones.
+    The oracle takes the same purity as the squared Frobenius norm of rho,
+    from its own reshape of U; this is the reference it is checked against.
+    """
+    keep = [k - 1 for k in cut]
+    rest = [a for a in range(len(psi.parts)) if a not in keep]
+    mat = psi.amplitudes.reshape(psi.parts).transpose(*keep, *rest)
+    mat = mat.reshape(math.prod(psi.parts[a] for a in keep), -1)
+    rho = mat @ mat.conj().T
+    purity = float(np.trace(rho @ rho).real)
+    dim = min(mat.shape)
+    return dim / (dim - 1) * (1.0 - purity)
 
 
 def haar_unitary(n, rng):

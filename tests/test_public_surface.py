@@ -11,16 +11,16 @@ PUBLIC_NAMES = [
     "IndexOutOfRange", "InsufficientSamples", "LatinSquare", "NonEntanglingWitness",
     "NotBijection", "NotOrthogonal", "NotUnitary", "OrthogonalPair",
     "ParameterOrderViolation", "ParseError", "PermupowerError", "PowerReport",
-    "PureState", "RectangleFlags", "Unitary", "UnnormalizedState",
+    "RectangleFlags", "Unitary",
     "UnsupportedOrder", "WitnessKind", "are_orthogonal", "biperm_from_flat",
     "biperm_to_flat", "builtin_perm", "check_block_conditions", "class_bound",
     "classify_exhaustive", "classify_sampled", "compose_with_swap", "construct_mols",
     "count_orthogonal_pairs", "detect_non_entangling", "e0_stats", "entangling_power",
     "enumerate_latin_squares", "epsilon_from_q", "exact_mean",
-    "format_biperm", "identity_perm", "is_latin", "linear_entropy", "mc_power", "min_nonzero_perm",
+    "format_biperm", "identity_perm", "is_latin", "mc_power", "min_nonzero_perm",
     "oracle_power", "parse_biperm", "q_of", "random_perm",
     "rectangle_flags", "rezakhani_power", "special_d6_perm", "split_entropies",
-    "state_of_unitary", "superimpose", "swap_perm", "unitary_of",
+    "superimpose", "swap_perm", "unitary_of",
 ]
 
 # Module-level helpers that other modules of the package share.
