@@ -17,8 +17,12 @@ Exit codes:
      not take, such as `--format` outside `power` and `classify`, `--seed`
      or `--workers` on `mols`, `--workers` on `sample`, `--out` on
      `verify`, or `classify --samples` with `--checkpoint-dir` or
-     `--force`; a `--format` it does not write; a `classify --out` in a
-     directory that does not exist, checked before the census runs)
+     `--force`; a `--format` it does not write; a file that `classify` or
+     `mols` would write that is a directory or lies in a directory that
+     does not exist, checked before any work is done.  A directory the
+     user may not write to is still found only at the write, also with
+     exit 2: root may write anywhere, so no test could see an up-front
+     check fail)
   3  unsupported Latin square order
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
      overrides it), the dense oracle's cap of d <= 12 on the two dense
@@ -195,6 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: Path) -> Path:
+    """`path`, once it is known to be no directory and to lie in one."""
+    if path.is_dir():
+        raise ParseError(f"{path} is a directory")
+    if not path.parent.is_dir():
+        raise ParseError(f"{path}: no directory {path.parent}")
+    return path
+
+
 def _output(out: Path | None):
     """The stream a command writes to: the file `out`, or else stdout."""
     return contextlib.nullcontext(sys.stdout) if out is None else out.open("w")
@@ -265,9 +278,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.force and not args.exhaustive:
         raise ParseError("--force applies to exhaustive runs only")
     mode = "exhaustive" if args.exhaustive else "sampled"
-    out = args.out if args.out is not None else Path(f"classify-d{d}-{mode}.{args.format}")
-    if not out.parent.is_dir():  # before the census, which may run for hours
-        raise ParseError(f"--out {out}: no directory {out.parent}")
+    # before the census, which may run for hours
+    out = _check_out(args.out or Path(f"classify-d{d}-{mode}.{args.format}"))
     if args.exhaustive:
         hist = classify_exhaustive(
             d, workers=args.workers, force=args.force,
@@ -301,6 +313,8 @@ def cmd_mols(args: argparse.Namespace) -> int:
     if d is None:
         raise ParseError("mols needs --d")
     check_power_dimension(d)  # before the pair is built or read
+    out = _check_out(args.out or Path(f"mols-d{d}.txt"))
+    perm_path = _check_out(Path(f"{out}.perm"))
     if args.table is None:
         pair = construct_mols(d)
     else:
@@ -310,8 +324,6 @@ def cmd_mols(args: argparse.Namespace) -> int:
             raise UnsupportedOrder(f"pair file has side {pair.d}, requested {d}")
     perm = superimpose(pair)
     report = entangling_power(perm)
-    out = args.out if args.out is not None else Path(f"mols-d{d}.txt")
-    perm_path = Path(str(out) + ".perm")
     out.write_text(format_pair(pair))
     perm_path.write_text(format_biperm(perm))
     print(f"pair      {out}")

@@ -33,10 +33,11 @@ from .perm_core import (
     BiPerm, check_dimension_cap, check_power_dimension, compose_with_swap, lines_are_permutations
 )
 
-# Most rectangle-count keys the batch kernel holds at once.  Every per-tile
-# array (cell gathers, match flags, keys, run ranks) has at most this many
-# elements, so the kernel's working memory grows with neither the batch
-# size nor d.
+# Most line-pair cells the batch kernel holds at once.  Every per-tile
+# array of the pairs i < j (cell gathers, match flags, keys, runs) has at
+# most this many elements, and the count of the pairs i == j two per cell
+# of a tile's permutations, so the kernel's working memory does not grow
+# with the batch size, and grows with d only as one permutation does.
 KEY_BUDGET = 1 << 16
 
 
@@ -88,36 +89,14 @@ def q_of(perm: BiPerm) -> int:
     return q
 
 
-def _line_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both lines of every unordered line pair i <= j, and each line's cells.
-
-    Lines 0..d-1 are the grid rows (pairs for Q_P), lines d..2d-1 the grid
-    columns (pairs for Q_PS, which is Q of the transposed grid).  The first
-    two tables hold the line indices of the d(d+1) pairs, the 2d pairs with
-    i == j first, so a pair counts towards Q_PS exactly when its first line
-    is a column; row t of the (2d, d) third table holds line t's flat cells
-    in order.
-    """
-    import numpy as np
-
-    i, j = np.triu_indices(d, 1)
-    diagonal = np.arange(2 * d)
-    grid = np.arange(d * d).reshape(d, d)
-    return (
-        np.concatenate([diagonal, i, i + d]),
-        np.concatenate([diagonal, j, j + d]),
-        np.concatenate([grid, grid.T]),
-    )
-
-
 def _tile_shape(d: int) -> tuple[int, int]:
     """Line pairs and permutations per tile of `q_totals_batch`.
 
-    A tile holds at most KEY_BUDGET cells of line pairs, d to a pair:
-    every line pair of several permutations while the d(d+1) pairs of one
-    fit, and blocks of one permutation's line pairs from d = 40 up.
+    A tile holds at most KEY_BUDGET cells of line pairs i < j, d to a pair:
+    every one of the d(d-1) pairs of several permutations while those of
+    one fit, and blocks of one permutation's pairs from d = 41 up.
     """
-    pairs_per_tile = min(d * (d + 1), max(1, KEY_BUDGET // d))
+    pairs_per_tile = max(1, min(d * (d - 1), KEY_BUDGET // d))
     return pairs_per_tile, max(1, KEY_BUDGET // (pairs_per_tile * d))
 
 
@@ -129,69 +108,63 @@ def q_totals_batch(flat: np.ndarray, d: int) -> np.ndarray:
 
     Q_P sums f(i, j) = sum_kappa c_ijkappa^2 over ordered row pairs, with
     c_ijkappa = #{m : l_im = l_jm, (k_im, k_jm) = kappa} as in `q_of`, and
-    Q_PS is the same sum over column pairs.
-    - For i == j every column agrees on l, so f(i, i) is the sum of
+    Q_PS is the same sum over column pairs, so the total is one count over
+    the 2d lines of the grid, rows pairing with rows and columns with
+    columns.
+    - For i == j every cell agrees on l, so f(i, i) is the sum of
       r_ikappa^2 with r_ikappa = #{m : k_im = kappa}: one bincount over
-      (permutation, line, kappa), d bins to a line, with no sort.
-    - For i < j only the columns with l_im == l_jm add to f.  Their keys
-      (side, permutation, pair, k_im, k_jm) alone are kept and sorted, and
-      a run of c equal keys adds 2 c^2, as f(i, j) = f(j, i).
+      (permutation, line, kappa) per permutation tile, with no sort.
+    - For i < j only the cells with l_im == l_jm add to f.  Their keys
+      (permutation, pair, k_im, k_jm) alone are kept and sorted, and a run
+      of c equal keys adds 2 c^2, as f(i, j) = f(j, i).
 
-    The work is cut into tiles of at most KEY_BUDGET line-pair cells
-    (`_tile_shape`), so no per-tile array has more elements than that, and
-    the keys stay below 2 KEY_BUDGET d, which int32 holds.  The pair
-    tables hold line indices, so each block of line pairs expands to its
-    cell indices once, outside the loop over permutations, and the kernel
-    holds O(d^2 + KEY_BUDGET) elements at any d.  Q_P and Q_PS are summed
-    apart until the end.
+    The pairs i < j are cut into tiles of at most KEY_BUDGET cells
+    (`_tile_shape`), so no per-tile array of them has more elements than
+    that, and the keys stay below KEY_BUDGET d, which int32 holds.  Each
+    block of pairs expands to its cell indices once, outside the loop over
+    permutations, and the kernel holds O(d^2 + KEY_BUDGET) elements at
+    any d.
     """
     import numpy as np
 
     check_dimension_cap(d)
-    nb = flat.shape[0]
-    first, second, line_cells = _line_pairs(d)
-    n_pairs, dd = first.shape[0], d * d
+    nb, dd = flat.shape[0], d * d
+    grid = np.arange(dd, dtype=np.int32).reshape(d, d)
+    lines = np.concatenate([grid, grid.T])  # each line's cells: rows, then columns
+    first, second = (np.concatenate([i, i + d]) for i in np.triu_indices(d, 1))
+    n_pairs = first.size
     pairs_per_tile, perms_per_tile = _tile_shape(d)
-    tile_row = np.arange(perms_per_tile)[:, None]
-    counts = np.zeros((2, nb), dtype=np.int64)  # Q_P, Q_PS of each permutation
+    totals = np.empty(nb, dtype=np.int64)
+    # each line cell's bin (permutation, line, 0) for the pairs i == j
+    line_bins = np.repeat(np.arange(perms_per_tile * 2 * d, dtype=np.int32) * d, d)
+    line_bins = line_bins.reshape(perms_per_tile, -1)
+    for lo in range(0, nb, perms_per_tile):
+        k = flat[lo : lo + perms_per_tile].astype(np.int32) // d
+        b = k.shape[0]
+        r = np.bincount((k[:, lines.ravel()] + line_bins[:b]).ravel(), minlength=b * 2 * dd)
+        r *= r
+        totals[lo : lo + b] = r.reshape(b, -1).sum(axis=1)
     for p0 in range(0, n_pairs, pairs_per_tile):
-        p1 = min(p0 + pairs_per_tile, n_pairs)
-        q0 = max(p0, min(p1, 2 * d))  # pairs [p0, q0) have i == j, [q0, p1) i < j
-        # the i == j lines' cells and each cell's bin (permutation, line, 0);
-        # row lines come before column lines
-        diag_cells = line_cells[first[p0:q0]].ravel()
-        diag_bins = np.repeat((tile_row * (q0 - p0) + np.arange(q0 - p0)) * d, d, axis=1)
-        row_cells = np.count_nonzero(first[p0:q0] < d) * d
-        # each pair's cells, and its key offset (side, permutation, pair)
-        cells_a = line_cells[first[q0:p1]].ravel()
-        cells_b = line_cells[second[q0:p1]].ravel()
-        segment = (first[q0:p1] >= d) * perms_per_tile + tile_row
-        key_offset = np.repeat((segment * (p1 - q0) + np.arange(p1 - q0)) * dd, d, axis=1)
-        key_offset = key_offset.astype(np.int32)
+        n = min(pairs_per_tile, n_pairs - p0)
+        cells_a = lines[first[p0 : p0 + n]].ravel()
+        cells_b = lines[second[p0 : p0 + n]].ravel()
+        # each pair cell's key offset (permutation, pair, 0, 0)
+        key_offset = np.repeat(np.arange(perms_per_tile * n, dtype=np.int32) * dd, d)
+        key_offset = key_offset.reshape(perms_per_tile, -1)
         for lo in range(0, nb, perms_per_tile):
             k, l = np.divmod(flat[lo : lo + perms_per_tile].astype(np.int32), d)
             b = k.shape[0]
-            tile = counts[:, lo : lo + b]
-            if q0 > p0:
-                bins = (k[:, diag_cells] + diag_bins[:b]).ravel()
-                r = np.bincount(bins, minlength=diag_bins.size)
-                r *= r
-                r = r.reshape(perms_per_tile, -1)[:b]
-                tile[0] += r[:, :row_cells].sum(axis=1)
-                tile[1] += r[:, row_cells:].sum(axis=1)
-            if p1 > q0:
-                matched = l[:, cells_a] == l[:, cells_b]
-                keys = (k[:, cells_a] * d + k[:, cells_b] + key_offset[:b])[matched]
-                runs, c = np.unique(keys, return_counts=True)
-                # sum c^2 over the runs of each (side, permutation): runs
-                # come sorted by segment, so differences of the running sum
-                # at each segment's end give it
-                c_sq = np.zeros(c.size + 1, dtype=np.int64)
-                np.cumsum(c * c, out=c_sq[1:])
-                per_segment = np.bincount(runs // ((p1 - q0) * dd), minlength=2 * perms_per_tile)
-                f = np.diff(c_sq[np.cumsum(per_segment)], prepend=0)
-                tile += 2 * f.reshape(2, perms_per_tile)[:, :b]
-    return counts.sum(axis=0)
+            matched = l[:, cells_a] == l[:, cells_b]
+            keys = (k[:, cells_a] * d + k[:, cells_b] + key_offset[:b])[matched]
+            runs, c = np.unique(keys, return_counts=True)
+            # sum c^2 over the runs of each permutation: runs come sorted by
+            # permutation, so differences of the running sum at each
+            # permutation's end give it
+            c_sq = np.zeros(c.size + 1, dtype=np.int64)
+            np.cumsum(c * c, out=c_sq[1:])
+            ends = np.cumsum(np.bincount(runs // (n * dd), minlength=b))
+            totals[lo : lo + b] += 2 * np.diff(c_sq[ends], prepend=0)
+    return totals
 
 
 def epsilon_denominator(d: int) -> int:

@@ -232,6 +232,11 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err.count("error:") == 1 and str(tmp_path / "missing") in err
         assert not out_file.parent.exists()
+        # an --out that names a directory
+        code, out, err = run(["classify", "--d", "3", *mode, "--out", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "is a directory" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMols:
@@ -257,6 +262,25 @@ class TestMols:
         assert err.count("error:") == 1 and "cap 215" in err
         assert not out_file.exists()
         assert not (tmp_path / "p.txt.perm").exists()
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [("missing/p.txt", "no directory"), ("p.txt", "p.txt.perm is a directory"),
+         (".", "is a directory")],
+        ids=["missing-directory", "perm-is-directory", "out-is-directory"],
+    )
+    def test_bad_out_exit_2_writes_nothing(self, capsys, tmp_path, monkeypatch, out, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pair was built before the output paths were checked")
+
+        monkeypatch.setattr(cli, "construct_mols", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.txt.perm").mkdir()
+        code, stdout, err = run(["mols", "--d", "5", "--out", out], capsys)
+        assert code == 2 and stdout == ""
+        assert err.count("error:") == 1 and message in err
+        assert [path.name for path in tmp_path.iterdir()] == ["p.txt.perm"]
+        assert list((tmp_path / "p.txt.perm").iterdir()) == []
 
     def test_table_passthrough(self, capsys, tmp_path):
         src = tmp_path / "src.txt"

@@ -195,8 +195,9 @@ class TestQOf:
          pytest.param(215, 16, True, id="215-16-identity")],
     )
     def test_batch_memory_bounded(self, d, bound_mib, identity):
-        # the d(d+1) x d cells of all line pairs would take 31 MiB at
-        # d = 100 and 305 MiB at d = 215 once tabled; only the O(d^2) line
+        # the d(d-1) x d cells of the line pairs i < j, as two int32 cell
+        # indices and one int32 key offset each, would take 11 MiB at
+        # d = 100 and 113 MiB at d = 215 once tabled; only the O(d^2) line
         # tables and the KEY_BUDGET tiles may stay.  Every row pair of the
         # identity agrees on l in every column, so none of its row-pair
         # keys is dropped before the sort.
@@ -246,7 +247,10 @@ class TestQOf:
 
     @pytest.mark.parametrize("d", [3, 8, 12])
     def test_batch_spanning_tiles(self, d):
-        per_tile = entangle._tile_shape(d)[1]
+        # at these sides one tile holds all d(d-1) line pairs i < j of
+        # per_tile permutations
+        pairs_per_tile, per_tile = entangle._tile_shape(d)
+        assert pairs_per_tile == d * (d - 1)
         perms = random_biperms(300 + d, d, 2 * per_tile + 7)
         perms += [identity_perm(d), swap_perm(d), superimpose(construct_mols(d))]
         assert len(perms) > 2 * per_tile >= 2
@@ -257,7 +261,8 @@ class TestQOf:
     def test_batch_extremes_spanning_tiles(self, d, kind):
         # identity-like: every row pair agrees on l in every column, so
         # every row-pair key is sorted; MOLS: L is Latin, so no pair of
-        # distinct lines agrees anywhere and only the i == j lines count
+        # distinct lines agrees anywhere and only the i == j lines count.
+        # Both the i == j count and the pairs i < j span three tiles.
         per_tile = entangle._tile_shape(d)[1]
         n = 2 * per_tile + 7
         if kind == "identity-like":
@@ -274,13 +279,31 @@ class TestQOf:
 
     @pytest.mark.parametrize("budget", [1, 7, 30, 61, 200])
     def test_batch_tiling_leaves_totals(self, monkeypatch, budget):
-        # a budget below d^2 (d+1) keys splits one permutation's d(d+1)
-        # line pairs over several tiles, as the default budget does from
-        # d = 40 up
+        # a budget below d^2 (d-1) cells splits one permutation's d(d-1)
+        # line pairs i < j over several tiles, as the default budget does
+        # from d = 41 up
         perms = random_biperms(505, 5, 9) + [identity_perm(5), swap_perm(5)]
         expected = scalar_totals(perms)
         monkeypatch.setattr(entangle, "KEY_BUDGET", budget)
         assert q_totals_batch(flat_batch(perms), 5).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "d, budget", [(d, None) for d in range(2, 9)] + [(4, 400), (5, 7)],
+        ids=[str(d) for d in range(2, 9)] + ["4-budget-400", "5-budget-7"],
+    )
+    def test_batch_transposed_grids(self, monkeypatch, d, budget):
+        # P -> PS transposes the grid and exchanges Q_P and Q_PS, so it
+        # leaves every total Q_P + Q_PS as it is
+        perms = random_biperms(700 + d, d, 40)
+        perms += [identity_perm(d), swap_perm(d), min_nonzero_perm(d)]
+        flat = flat_batch(perms)
+        swapped = flat.reshape(-1, d, d).transpose(0, 2, 1).reshape(flat.shape)
+        assert (swapped == flat_batch(map(compose_with_swap, perms))).all()
+        if budget is not None:
+            monkeypatch.setattr(entangle, "KEY_BUDGET", budget)
+            assert len(perms) > 2 * entangle._tile_shape(d)[1]
+        totals = q_totals_batch(flat, d).tolist()
+        assert q_totals_batch(swapped, d).tolist() == totals
 
     def test_batch_empty(self):
         assert q_totals_batch(np.empty((0, 9), dtype=np.int16), 3).shape == (0,)
