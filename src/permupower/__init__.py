@@ -27,12 +27,9 @@ from .errors import (
 )
 from .perm_core import (
     BiPerm,
-    NonEntanglingWitness,
-    WitnessKind,
     biperm_from_flat,
     biperm_to_flat,
     compose_with_swap,
-    detect_non_entangling,
     format_biperm,
     identity_perm,
     min_nonzero_perm,
@@ -63,8 +60,6 @@ from .latin import (
     OrthogonalPair,
     are_orthogonal,
     construct_mols,
-    count_orthogonal_pairs,
-    enumerate_latin_squares,
     is_latin,
     special_d6_perm,
     superimpose,

@@ -17,12 +17,12 @@ Exit codes:
      not take, such as `--format` outside `power` and `classify`, `--seed`
      or `--workers` on `mols`, `--workers` on `sample`, `--out` on
      `verify`, or `classify --samples` with `--checkpoint-dir` or
-     `--force`; a `--format` it does not write; a file that `classify` or
-     `mols` would write that is a directory or lies in a directory that
-     does not exist, checked before any work is done.  A directory the
-     user may not write to is still found only at the write, also with
-     exit 2: root may write anywhere, so no test could see an up-front
-     check fail)
+     `--force`; a `--format` it does not write; a file that `power`,
+     `classify` or `mols` would write that is a directory or lies in a
+     directory that does not exist, checked before any count is made.  A
+     directory the user may not write to is still found only at the
+     write, also with exit 2: root may write anywhere, so no test could
+     see an up-front check fail)
   3  unsupported Latin square order
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
      overrides it), the dense oracle's cap of d <= 12 on the two dense
@@ -72,8 +72,8 @@ from .latin import (
 )
 from .oracle import COMPARISON_TOL, check_oracle_dimension, mc_power, oracle_power, unitary_of
 from .perm_core import (
-    check_dimension_cap, check_power_dimension, format_biperm, parse_biperm, random_blocks,
-    random_perm,
+    check_dimension_cap, check_power_dimension, format_biperm, format_flat, parse_biperm,
+    random_blocks, random_perm,
 )
 
 # Fixed default seed: bare invocations are reproducible by construction.
@@ -260,6 +260,8 @@ def cmd_power(args: argparse.Namespace) -> int:
             perm = parse_biperm(lines)
     if args.d is not None and args.d != perm.d:
         raise ParseError(f"--d {args.d} contradicts the permutation's dimension {perm.d}")
+    if args.out is not None:
+        _check_out(args.out)  # before the count, which takes seconds at the cap
     report = entangling_power(perm)
     with _output(args.out) as stream:
         stream.write(POWER_FORMATS[args.format](report))
@@ -344,13 +346,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
-    head = f"d={d}\n"
+    sep = ""
     with _output(args.out) as stream:
         for block in random_blocks(d * d, args.count, rng):
             block += 1
             for row in block:
-                stream.write(head + " ".join(map(str, row.tolist())) + "\n")
-                head = f"\nd={d}\n"
+                stream.write(sep + format_flat(d, row.tolist()))
+                sep = "\n"
     return EXIT_OK
 
 

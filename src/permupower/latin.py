@@ -17,15 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import BudgetExceeded, NotOrthogonal, ParseError, UnsupportedOrder
+from .errors import NotOrthogonal, ParseError, UnsupportedOrder
 from .perm_core import BiPerm, lines_are_permutations, pairs_cover_grid, read_int_line, row_major
-
-# Latin square enumeration is row-by-row backtracking; side 5 already has
-# 161280 squares.
-ENUMERATION_MAX_SIDE = 5
-PAIR_COUNT_MAX_SIDE = 4
 
 
 class LatinSquare:
@@ -231,73 +226,11 @@ _D6_CELLS = (
     (32, 41, 53, 64, 26, 15),
 )
 
-# The two side-6 Latin squares that come as close to orthogonality as
-# possible; superimposing them repeats the pairs 33 and 44, so they do NOT
-# induce a permutation.  Kept for inspection and tests.
-D6_NEAR_ORTHOGONAL = (
-    (
-        (1, 2, 3, 4, 5, 6),
-        (2, 1, 4, 3, 6, 5),
-        (3, 4, 6, 5, 1, 2),
-        (4, 3, 5, 6, 2, 1),
-        (5, 6, 2, 1, 4, 3),
-        (6, 5, 1, 2, 3, 4),
-    ),
-    (
-        (1, 2, 3, 4, 5, 6),
-        (3, 4, 5, 6, 1, 2),
-        (2, 1, 4, 3, 6, 5),
-        (6, 5, 1, 2, 4, 3),
-        (4, 3, 6, 5, 2, 1),
-        (5, 6, 2, 1, 3, 4),
-    ),
-)
-
-
 def special_d6_perm() -> BiPerm:
     """The embedded side-6 permutation with maximal entangling power."""
     k = tuple(tuple(c // 10 for c in row) for row in _D6_CELLS)
     l = tuple(tuple(c % 10 for c in row) for row in _D6_CELLS)
     return BiPerm(k, l)
-
-
-# --- enumeration and counting -------------------------------------------------
-
-
-def enumerate_latin_squares(d: int) -> Iterator[LatinSquare]:
-    """All Latin squares of side d, lexicographic by rows (backtracking)."""
-    if d > ENUMERATION_MAX_SIDE:
-        raise BudgetExceeded(
-            f"side {d} enumeration not budgeted (max {ENUMERATION_MAX_SIDE})"
-        )
-    rows = list(itertools.permutations(range(1, d + 1)))
-
-    def extend(stack: list[tuple[int, ...]]) -> Iterator[LatinSquare]:
-        if len(stack) == d:
-            yield LatinSquare._trusted(tuple(stack))
-            return
-        for row in rows:
-            if all(row[c] != prev[c] for prev in stack for c in range(d)):
-                stack.append(row)
-                yield from extend(stack)
-                stack.pop()
-
-    yield from extend([])
-
-
-def count_orthogonal_pairs(d: int) -> int:
-    """Number of unordered orthogonal pairs among all Latin squares of side d.
-
-    Exhaustive: enumerates the squares, then checks every unordered pair.
-    Twice this count is the number of maximum-entangling grid permutations.
-    """
-    if d > PAIR_COUNT_MAX_SIDE:
-        raise BudgetExceeded(
-            f"pair counting enumerates all side-{d} squares; max side "
-            f"{PAIR_COUNT_MAX_SIDE}"
-        )
-    flats = [row_major(sq.cells) for sq in enumerate_latin_squares(d)]
-    return sum(pairs_cover_grid(a, b, d) for a, b in itertools.combinations(flats, 2))
 
 
 # --- text serialization -------------------------------------------------------
@@ -314,14 +247,7 @@ def format_pair(pair: OrthogonalPair) -> str:
     return format_latin_square(pair.first) + "\n" + format_latin_square(pair.second)
 
 
-def parse_latin_square(text: str) -> LatinSquare:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    return _parse_square_lines(lines, offset=0)
-
-
 def _parse_square_lines(lines: list[str], offset: int) -> LatinSquare:
-    if not lines:
-        raise ParseError(f"line {offset + 1}: expected a square, found nothing")
     d = len(lines[0].split())
     if len(lines) < d:
         raise ParseError(f"line {offset + 1}: square of side {d} needs {d} lines")

@@ -26,11 +26,9 @@ of worker 0 of seed 43.)
 from __future__ import annotations
 
 import contextlib
-import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -156,33 +154,6 @@ def read_int_line(line: str, count: int, where: str, high: int | None = None) ->
     return values
 
 
-class WitnessKind(enum.Enum):
-    IDENTITY_LIKE = "identity_like"
-    SWAP_LIKE = "swap_like"
-
-
-@dataclass(frozen=True)
-class NonEntanglingWitness:
-    """Local factorization of a non-entangling grid permutation.
-
-    identity_like: (i, j) -> (p_a(i), p_b(j)); swap_like: (i, j) -> (p_a(j), p_b(i)).
-    """
-
-    kind: WitnessKind
-    p_a: tuple[int, ...]
-    p_b: tuple[int, ...]
-
-    def reconstruct(self, d: int) -> BiPerm:
-        """Rebuild the full grid permutation this witness describes."""
-        if self.kind is WitnessKind.IDENTITY_LIKE:
-            k = [[a] * d for a in self.p_a]
-            l = [self.p_b] * d
-        else:
-            k = [self.p_a] * d
-            l = [[b] * d for b in self.p_b]
-        return BiPerm(k, l)
-
-
 def biperm_from_flat(image: Sequence[int], d: int) -> BiPerm:
     """Reshape a flat permutation of [d^2] (1-based images) into the (K, L) pair.
 
@@ -251,32 +222,6 @@ def compose_with_swap(perm: BiPerm) -> BiPerm:
     k = tuple(zip(*perm.k))
     l = tuple(zip(*perm.l))
     return BiPerm._trusted(perm.d, k, l)
-
-
-def detect_non_entangling(perm: BiPerm) -> NonEntanglingWitness | None:
-    """Return a local factorization witness, or None if the map entangles.
-
-    identity_like requires k_ij constant in j and l_ij constant in i;
-    swap_like requires k_ij constant in i and l_ij constant in j.
-    """
-    d, k, l = perm.d, perm.k, perm.l
-    if all(row.count(row[0]) == d for row in k) and all(
-        l[i] == l[0] for i in range(d)
-    ):
-        return NonEntanglingWitness(
-            WitnessKind.IDENTITY_LIKE,
-            p_a=tuple(row[0] for row in k),
-            p_b=l[0],
-        )
-    if all(k[i] == k[0] for i in range(d)) and all(
-        row.count(row[0]) == d for row in l
-    ):
-        return NonEntanglingWitness(
-            WitnessKind.SWAP_LIKE,
-            p_a=k[0],
-            p_b=tuple(row[0] for row in l),
-        )
-    return None
 
 
 @functools.cache
@@ -369,8 +314,13 @@ def random_perm(d: int, rng: np.random.Generator) -> BiPerm:
 # line 2: the flat one-line permutation, space-separated values in [d^2]
 
 
+def format_flat(d: int, image: Iterable[int]) -> str:
+    """The text form of a flat 1-based image of side d, taken as given."""
+    return f"d={d}\n" + " ".join(map(str, image)) + "\n"
+
+
 def format_biperm(perm: BiPerm) -> str:
-    return f"d={perm.d}\n" + " ".join(map(str, biperm_to_flat(perm))) + "\n"
+    return format_flat(perm.d, biperm_to_flat(perm))
 
 
 def _header_dimension(header: str) -> int:

@@ -11,7 +11,6 @@ between its published neighbours 5/12 and 23/48.  The circulated label
 test_criterion_2_suspect_interval_as_stated.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -23,8 +22,6 @@ from permupower import (
     classify_exhaustive,
     classify_sampled,
     construct_mols,
-    count_orthogonal_pairs,
-    detect_non_entangling,
     entangling_power,
     identity_perm,
     mc_power,
@@ -39,8 +36,9 @@ from permupower import (
 )
 from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
+from permupower.perm_core import lex_blocks
 
-from conftest import all_biperms
+from conftest import all_biperms, local_rows, orthogonal_pair_count
 
 ORACLE_TOL = 1e-10
 MOLS_SUPPORTED = (3, 4, 5, 7, 8, 9, 11, 12)
@@ -206,8 +204,8 @@ def test_criterion_5_side6_special_case():
 
 def test_criterion_6_ols_counting(census3):
     start = time.time()
-    c3 = count_orthogonal_pairs(3)
-    c4 = count_orthogonal_pairs(4)
+    c3 = orthogonal_pair_count(3)
+    c4 = orthogonal_pair_count(4)
     elapsed = time.time() - start
     top_class = dict(census3.classes)[Fraction(3, 4)]
     ok = c3 == 36 and c4 == 3456 and top_class == 72 == 2 * c3 and elapsed < 60
@@ -262,28 +260,13 @@ def test_criterion_8_monte_carlo_consistency():
 def test_criterion_9_zero_class_is_local():
     ok = True
     for d in (2, 3):
-        witnesses = []
-        for perm in all_biperms(d):
-            witnesses.append(detect_non_entangling(perm) is not None)
-        witnesses = np.array(witnesses)
-
-        n = d * d
-        flats = np.array(
-            list(itertools.permutations(range(n))),
-            dtype=np.int16,
-        )
-        totals = np.concatenate(
-            [
-                q_totals_batch(flats[lo : lo + 40320], d)
-                for lo in range(0, len(flats), 40320)
-            ]
-        )
-        zero_power = totals == d**4 + d**2
-        expected = 2 * math.factorial(d) ** 2
-        ok = ok and np.array_equal(witnesses, zero_power)
-        ok = ok and int(witnesses.sum()) == expected
-    report("9", ok, "at d=2,3 the zero-power set equals the detected local set, "
-                    "sizes 8 and 72 = 2(d!)^2")
+        flats = np.concatenate(list(lex_blocks(d * d)))
+        totals = q_totals_batch(flats, d)
+        zero_power = {tuple(row) for row in flats[totals == d**4 + d**2].tolist()}
+        local = {tuple(row) for row in local_rows(d).tolist()}
+        ok = ok and zero_power == local and len(local) == 2 * math.factorial(d) ** 2
+    report("9", ok, "at d=2,3 the zero-power set equals the set of local and "
+                    "local-after-swap permutations, sizes 8 and 72 = 2(d!)^2")
     assert ok
 
 

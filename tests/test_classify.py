@@ -16,8 +16,6 @@ from permupower import (
     class_bound,
     classify_exhaustive,
     classify_sampled,
-    count_orthogonal_pairs,
-    detect_non_entangling,
     e0_stats,
     entangling_power,
     exact_mean,
@@ -26,7 +24,9 @@ from permupower import (
 from permupower import classify, golden
 from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
-from permupower.perm_core import BLOCK_CELLS
+from permupower.perm_core import BLOCK_CELLS, biperm_to_flat
+
+from conftest import local_rows, orthogonal_pair_count
 
 D2_CLASSES = (
     (Fraction(0), 8),
@@ -106,6 +106,17 @@ class TestExhaustive:
         assert dict(classify_exhaustive(2).classes)[Fraction(0)] == e0_stats(2)[0]
         assert dict(census_d3.classes)[Fraction(0)] == e0_stats(3)[0]
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_local_permutations_have_zero_power(self, d):
+        # the 2(d!)^2 local and local-after-swap permutations are distinct
+        # and have power 0, and at d = 2, 3 the zero class has e0_stats(d)
+        # members (above), so it is exactly these permutations
+        rows = local_rows(d)
+        assert len(rows) == e0_stats(d)[0]
+        assert (np.sort(rows, axis=1) == np.arange(d * d)).all()
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert (q_totals_batch(rows, d) == d**4 + d**2).all()
+
     def test_smallest_nonzero_class_is_the_minimum(self, census_d3):
         for d, hist in ((2, classify_exhaustive(2)), (3, census_d3)):
             nonzero = [k for k, _ in hist.classes if k > 0]
@@ -114,7 +125,7 @@ class TestExhaustive:
     def test_largest_class_d3(self, census_d3):
         top, count = census_d3.classes[-1]
         assert top == Fraction(3, 4)
-        assert count == 72 == 2 * count_orthogonal_pairs(3)
+        assert count == 72 == 2 * orthogonal_pair_count(3)
 
     def test_largest_class_d2_below_maximum(self):
         top, _ = classify_exhaustive(2).classes[-1]
@@ -334,7 +345,7 @@ class TestMinNonzero:
 
     def test_structure(self):
         perm = min_nonzero_perm(4)
-        assert detect_non_entangling(perm) is None
+        assert biperm_to_flat(perm) not in {tuple(row) for row in (local_rows(4) + 1).tolist()}
         # identity everywhere but the last two cells of the bottom row
         assert (perm.k[3][2], perm.l[3][2]) == (4, 4)
         assert (perm.k[3][3], perm.l[3][3]) == (4, 3)

@@ -118,6 +118,22 @@ class TestPower:
         assert "bad.txt" in err and "position" not in err
         assert [path.name for path in tmp_path.iterdir()] == ["bad.txt"]
 
+    @pytest.mark.parametrize(
+        "out, message", [(".", "is a directory"), ("missing/dir/x", "no directory")],
+        ids=["out-is-directory", "missing-directory"],
+    )
+    def test_bad_out_exit_2_before_count(self, capsys, tmp_path, monkeypatch, out, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the power was counted before --out was checked")
+
+        monkeypatch.setattr(cli, "entangling_power", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(["power", "--builtin", "identity", "--d", "5", "--out", out],
+                                capsys)
+        assert code == 2 and stdout == ""
+        assert err.count("error:") == 1 and message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_builtin_exit_2(self, capsys):
         code, _, err = run(["power", "--builtin", "wat"], capsys)
         assert code == 2 and "unknown builtin" in err

@@ -21,7 +21,6 @@ from permupower import (
     check_block_conditions,
     compose_with_swap,
     construct_mols,
-    detect_non_entangling,
     entangling_power,
     epsilon_from_q,
     identity_perm,
@@ -30,14 +29,12 @@ from permupower import (
     rectangle_flags,
     superimpose,
     swap_perm,
-    NonEntanglingWitness,
-    WitnessKind,
 )
 from permupower import entangle
 from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
 
-from conftest import all_biperms, random_biperms
+from conftest import all_biperms, local_rows, random_biperms
 
 
 def flat_batch(perms) -> np.ndarray:
@@ -107,11 +104,13 @@ def distinct_keys_perm(d: int, seed: int) -> BiPerm:
     return BiPerm(k, [range(1, d + 1)] * d)
 
 
-def local_perm(d: int, seed: int, kind: WitnessKind) -> BiPerm:
-    """A random identity-like or swap-like permutation."""
+def local_perm(d: int, seed: int, swapped: bool = False) -> BiPerm:
+    """A random local permutation (i, j) -> (a(i), b(j)), or with `swapped`
+    the local-after-swap (i, j) -> (a(j), b(i))."""
     gen = np.random.default_rng(seed)
-    p_a, p_b = (tuple(int(v) + 1 for v in gen.permutation(d)) for _ in range(2))
-    return NonEntanglingWitness(kind, p_a, p_b).reconstruct(d)
+    a, b = (gen.permutation(d) + 1 for _ in range(2))
+    perm = BiPerm([[int(v)] * d for v in a], [b.tolist()] * d)
+    return compose_with_swap(perm) if swapped else perm
 
 
 def relabel(perm: BiPerm, rows=None, cols=None, ks=None, ls=None) -> BiPerm:
@@ -222,8 +221,8 @@ class TestQOf:
     @pytest.mark.parametrize("d", [20, 40, 60])
     def test_equals_batch_larger_d(self, d):
         perms = random_biperms(600 + d, d, 3) + [
-            local_perm(d, d, WitnessKind.IDENTITY_LIKE),
-            local_perm(d, d + 1, WitnessKind.SWAP_LIKE),
+            local_perm(d, d),
+            local_perm(d, d + 1, swapped=True),
             distinct_keys_perm(d, d),
         ]
         assert q_totals_batch(flat_batch(perms), d).tolist() == scalar_totals(perms)
@@ -266,7 +265,7 @@ class TestQOf:
         per_tile = entangle._tile_shape(d)[1]
         n = 2 * per_tile + 7
         if kind == "identity-like":
-            perms = [local_perm(d, seed, WitnessKind.IDENTITY_LIKE) for seed in range(n)]
+            perms = [local_perm(d, seed) for seed in range(n)]
             expected = d**4 + d * d
         else:
             gen = np.random.default_rng(d)
@@ -316,14 +315,13 @@ class TestQOf:
                 assert q % 2 == (d * d) % 2
 
     def test_maximal_iff_identity_like(self):
-        for perm in all_biperms(2):
-            w = detect_non_entangling(perm)
-            is_id_like = w is not None and w.kind is WitnessKind.IDENTITY_LIKE
-            assert (q_of(perm) == 16) == is_id_like
-        for perm in random_biperms(55, 3, 200):
-            w = detect_non_entangling(perm)
-            is_id_like = w is not None and w.kind is WitnessKind.IDENTITY_LIKE
-            assert (q_of(perm) == 81) == is_id_like
+        # the identity-like permutations (i, j) -> (a(i), b(j)) are the
+        # first (d!)^2 local rows
+        for d, perms in ((2, all_biperms(2)), (3, random_biperms(55, 3, 200))):
+            rows = local_rows(d)
+            identity_like = {tuple(row) for row in (rows[: len(rows) // 2] + 1).tolist()}
+            for perm in perms:
+                assert (q_of(perm) == d**4) == (biperm_to_flat(perm) in identity_like)
 
     def test_minimal_iff_latin_conditions(self):
         # q = d^2 exactly when K has Latin rows and L has Latin columns

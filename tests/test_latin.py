@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from permupower import (
-    BudgetExceeded,
     LatinSquare,
     NotOrthogonal,
     OrthogonalPair,
@@ -16,29 +15,49 @@ from permupower import (
     are_orthogonal,
     check_block_conditions,
     construct_mols,
-    count_orthogonal_pairs,
     entangling_power,
-    enumerate_latin_squares,
     is_latin,
     special_d6_perm,
     superimpose,
 )
 from permupower.entangle import q_totals_batch
 from permupower.latin import (
-    D6_NEAR_ORTHOGONAL,
     _gf2_modulus,
     format_latin_square,
     format_pair,
     mols_supported,
-    parse_latin_square,
     parse_pair_file,
 )
 from permupower.perm_core import biperm_to_flat
+
+from conftest import latin_squares, orthogonal_pair_count
 
 R9_K = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 R9_L = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
 
 SUPPORTED_UP_TO_12 = (3, 4, 5, 7, 8, 9, 11, 12)
+
+# The two side-6 Latin squares that come as close to orthogonality as
+# possible; superimposing them repeats the pairs 33 and 44, so they do NOT
+# induce a permutation.
+D6_NEAR_ORTHOGONAL = (
+    (
+        (1, 2, 3, 4, 5, 6),
+        (2, 1, 4, 3, 6, 5),
+        (3, 4, 6, 5, 1, 2),
+        (4, 3, 5, 6, 2, 1),
+        (5, 6, 2, 1, 4, 3),
+        (6, 5, 1, 2, 3, 4),
+    ),
+    (
+        (1, 2, 3, 4, 5, 6),
+        (3, 4, 5, 6, 1, 2),
+        (2, 1, 4, 3, 6, 5),
+        (6, 5, 1, 2, 4, 3),
+        (4, 3, 6, 5, 2, 1),
+        (5, 6, 2, 1, 3, 4),
+    ),
+)
 
 
 class TestPredicates:
@@ -176,35 +195,29 @@ class TestSpecialD6:
 
 
 class TestEnumeration:
+    """The tests' reference enumeration of Latin squares."""
+
     @pytest.mark.parametrize("d,count", [(1, 1), (2, 2), (3, 12), (4, 576)])
     def test_counts(self, d, count):
-        assert sum(1 for _ in enumerate_latin_squares(d)) == count
+        assert sum(1 for _ in latin_squares(d)) == count
 
     def test_first_square_is_cyclic(self):
-        first = next(enumerate_latin_squares(3))
+        first = next(latin_squares(3))
         assert first.cells == R9_K
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            next(enumerate_latin_squares(6))
-
     def test_all_valid_and_distinct(self):
-        squares = list(enumerate_latin_squares(3))
+        squares = list(latin_squares(3))
         assert len(set(squares)) == 12
         assert all(is_latin(sq.cells) for sq in squares)
 
 
 class TestPairCounting:
     def test_counts(self):
-        assert count_orthogonal_pairs(2) == 0
-        assert count_orthogonal_pairs(3) == 36
+        assert orthogonal_pair_count(2) == 0
+        assert orthogonal_pair_count(3) == 36
 
     def test_count_d4(self):
-        assert count_orthogonal_pairs(4) == 3456
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            count_orthogonal_pairs(5)
+        assert orthogonal_pair_count(4) == 3456
 
 
 class TestConverseAtD3:
@@ -239,13 +252,14 @@ class TestConverseAtD3:
         is_max = totals == 18  # q_p = q_ps = 9
         assert int(both.sum()) == 72
         assert np.array_equal(both, is_max)
-        assert 72 == 2 * count_orthogonal_pairs(3)
+        assert 72 == 2 * orthogonal_pair_count(3)
 
 
 class TestSerialization:
     def test_square_roundtrip(self):
-        sq = LatinSquare(R9_L)
-        assert parse_latin_square(format_latin_square(sq)) == sq
+        first, second = LatinSquare(R9_L), LatinSquare(R9_K)
+        text = format_latin_square(first) + "\n" + format_latin_square(second)
+        assert parse_pair_file(text) == OrthogonalPair(first, second)
 
     def test_pair_roundtrip(self):
         pair = construct_mols(4)
@@ -268,5 +282,5 @@ class TestSerialization:
             parse_pair_file(text)
 
     def test_square_parse_short(self):
-        with pytest.raises(ParseError, match="needs 3 lines"):
-            parse_latin_square("1 2 3\n2 3 1")
+        with pytest.raises(ParseError, match="^line 1: square of side 3 needs 3 lines$"):
+            parse_pair_file("1 2 3\n2 3 1\n\n" + format_latin_square(LatinSquare(R9_L)))

@@ -1,4 +1,4 @@
-"""Grid permutation representation, enumeration, and structure detection."""
+"""Grid permutation representation, enumeration, the local permutations and text form."""
 
 import io
 import itertools
@@ -13,13 +13,10 @@ from permupower import (
     DimensionTooLarge,
     NotBijection,
     ParseError,
-    WitnessKind,
     are_orthogonal,
     biperm_from_flat,
     biperm_to_flat,
     compose_with_swap,
-    detect_non_entangling,
-    enumerate_latin_squares,
     format_biperm,
     identity_perm,
     parse_biperm,
@@ -30,7 +27,7 @@ from permupower import (
 from permupower import perm_core
 from permupower.perm_core import lex_blocks
 
-from conftest import all_biperms, random_biperms
+from conftest import all_biperms, latin_squares, local_rows, random_biperms
 
 
 class TestBiPermFromFlat:
@@ -128,7 +125,7 @@ class TestCoverRule:
     def test_matches_reference(self, d):
         cases = list(near_bijections(d, 400, seed=13))
         if d == 3:
-            squares = [sq.cells for sq in enumerate_latin_squares(3)]
+            squares = [sq.cells for sq in latin_squares(3)]
             cases += itertools.product(squares, repeat=2)
         verdicts = []
         for k, l in cases:
@@ -179,47 +176,49 @@ class TestComposeWithSwap:
 
 
 class TestDetectNonEntangling:
+    """The tests' local rows, indexed by their witness (a, b): with a_p the
+    permutation of rank p of [d] and n = d!, row p * n + q maps (i, j) to
+    (a_p(i), a_q(j)) and row n^2 + p * n + q maps it to (a_p(j), a_q(i))."""
+
     def test_identity_witness(self):
-        w = detect_non_entangling(identity_perm(3))
-        assert w.kind is WitnessKind.IDENTITY_LIKE
-        assert w.p_a == (1, 2, 3)
-        assert w.p_b == (1, 2, 3)
+        assert tuple(local_rows(3)[0] + 1) == biperm_to_flat(identity_perm(3))
 
     def test_swap_witness(self):
-        w = detect_non_entangling(swap_perm(3))
-        assert w.kind is WitnessKind.SWAP_LIKE
-        assert w.p_a == (1, 2, 3)
-        assert w.p_b == (1, 2, 3)
+        rows = local_rows(3)
+        assert tuple(rows[len(rows) // 2] + 1) == biperm_to_flat(swap_perm(3))
 
     def test_cnot_entangles(self):
-        assert detect_non_entangling(biperm_from_flat((1, 2, 4, 3), 2)) is None
+        assert (1, 2, 4, 3) not in {tuple(row) for row in (local_rows(2) + 1).tolist()}
 
     def test_witness_reconstructs(self, rng):
-        # build non-entangling permutations from random local pairs
+        # rebuild random rows from their witness (a, b)
         for d in (2, 3, 5):
+            perms = list(itertools.permutations(range(1, d + 1)))
+            n = len(perms)
+            rows = local_rows(d) + 1
             for _ in range(10):
-                pa = [int(v) + 1 for v in rng.permutation(d)]
-                pb = [int(v) + 1 for v in rng.permutation(d)]
-                ident_like = BiPerm(
-                    [[pa[i]] * d for i in range(d)],
-                    [pb for _ in range(d)],
-                )
-                w = detect_non_entangling(ident_like)
-                assert w is not None
-                assert w.reconstruct(d) == ident_like
-                swap_like = BiPerm(
-                    [pa for _ in range(d)],
-                    [[pb[i]] * d for i in range(d)],
-                )
-                w = detect_non_entangling(swap_like)
-                assert w is not None and w.kind is WitnessKind.SWAP_LIKE
-                assert w.reconstruct(d) == swap_like
+                p, q = (int(v) for v in rng.integers(n, size=2))
+                pa, pb = perms[p], perms[q]
+                ident_like = BiPerm([[pa[i]] * d for i in range(d)], [pb] * d)
+                assert tuple(rows[p * n + q]) == biperm_to_flat(ident_like)
+                swap_like = BiPerm([pa] * d, [[pb[i]] * d for i in range(d)])
+                assert tuple(rows[n * n + p * n + q]) == biperm_to_flat(swap_like)
 
     def test_count_over_all_d2(self):
-        hits = sum(
-            1 for p in all_biperms(2) if detect_non_entangling(p) is not None
-        )
-        assert hits == 2 * math.factorial(2) ** 2  # 8
+        # the local permutations are those with K constant along rows and L
+        # the same in every row, or K the same in every row and L constant
+        # along rows
+        def constant_rows(grid):
+            return all(len(set(row)) == 1 for row in grid)
+
+        structural = {
+            biperm_to_flat(p)
+            for p in all_biperms(2)
+            if (constant_rows(p.k) and len(set(p.l)) == 1)
+            or (len(set(p.k)) == 1 and constant_rows(p.l))
+        }
+        assert structural == {tuple(row) for row in (local_rows(2) + 1).tolist()}
+        assert len(structural) == 2 * math.factorial(2) ** 2  # 8
 
 
 def lex_rows(n: int, start: int = 0, stop: int | None = None) -> list[tuple[int, ...]]:

@@ -1,22 +1,25 @@
 """The package's public surface: `permupower.__all__` is pinned here, so
 removing or adding a public name shows up as a diff of this file."""
 
+import re
 import types
+from pathlib import Path
 
 import permupower
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "BiPerm", "BlockConditions", "BudgetExceeded", "ClassHistogram",
     "DegenerateDimension", "DimensionMismatch", "DimensionTooLarge",
-    "IndexOutOfRange", "InsufficientSamples", "LatinSquare", "NonEntanglingWitness",
+    "IndexOutOfRange", "InsufficientSamples", "LatinSquare",
     "NotBijection", "NotOrthogonal", "NotUnitary", "OrthogonalPair",
     "ParameterOrderViolation", "ParseError", "PermupowerError", "PowerReport",
     "RectangleFlags", "Unitary",
-    "UnsupportedOrder", "WitnessKind", "are_orthogonal", "biperm_from_flat",
+    "UnsupportedOrder", "are_orthogonal", "biperm_from_flat",
     "biperm_to_flat", "builtin_perm", "check_block_conditions", "class_bound",
     "classify_exhaustive", "classify_sampled", "compose_with_swap", "construct_mols",
-    "count_orthogonal_pairs", "detect_non_entangling", "e0_stats", "entangling_power",
-    "enumerate_latin_squares", "epsilon_from_q", "exact_mean",
+    "e0_stats", "entangling_power", "epsilon_from_q", "exact_mean",
     "format_biperm", "identity_perm", "is_latin", "mc_power", "min_nonzero_perm",
     "oracle_power", "parse_biperm", "q_of", "random_perm",
     "rectangle_flags", "rezakhani_power", "special_d6_perm", "split_entropies",
@@ -27,7 +30,7 @@ PUBLIC_NAMES = [
 INTERNAL_HELPERS = {
     "lines_are_permutations", "pairs_cover_grid", "read_int_line", "check_dimension_cap",
     "check_power_dimension", "check_oracle_dimension", "epsilon_denominator",
-    "q_totals_batch", "lex_blocks", "random_blocks",
+    "q_totals_batch", "lex_blocks", "random_blocks", "format_flat",
 }
 
 
@@ -42,3 +45,21 @@ def test_all_is_the_public_surface():
     }
     assert set(names) == public
     assert not INTERNAL_HELPERS & public
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is used by the package itself or by a demo, not only by
+    # the tests: its own def or class line and __init__.py do not count
+    package = Path(permupower.__file__).parent
+    sources = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    sources += (ROOT / "demos").glob("*.py")
+    lines = [line for path in sources for line in path.read_text().splitlines()]
+    unused = [
+        name for name in permupower.__all__
+        if not any(
+            re.search(rf"\b{name}\b", line)
+            and not re.match(rf"\s*(def|class) {name}\b", line)
+            for line in lines
+        )
+    ]
+    assert unused == []
