@@ -56,8 +56,6 @@ from .oracle import (
     unitary_of,
 )
 from .latin import (
-    LatinSquare,
-    OrthogonalPair,
     are_orthogonal,
     construct_mols,
     is_latin,

@@ -23,7 +23,8 @@ Exit codes:
      directory the user may not write to is still found only at the
      write, also with exit 2: root may write anywhere, so no test could
      see an up-front check fail)
-  3  unsupported Latin square order
+  3  unsupported Latin square order, or a `mols --table` pair whose side
+     is not `--d` or whose squares are not orthogonal
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
      overrides it), the dense oracle's cap of d <= 12 on the two dense
      `verify` targets, or a `verify tables` side with no reference census
@@ -322,8 +323,8 @@ def cmd_mols(args: argparse.Namespace) -> int:
     else:
         with _utf8(args.table):
             pair = parse_pair_file(args.table.read_text())
-        if pair.d != d:
-            raise UnsupportedOrder(f"pair file has side {pair.d}, requested {d}")
+        if len(pair[0]) != d:
+            raise UnsupportedOrder(f"pair file has side {len(pair[0])}, requested {d}")
     perm = superimpose(pair)
     report = entangling_power(perm)
     out.write_text(format_pair(pair))
@@ -414,15 +415,11 @@ def _verify_mc_vs_formula(args: argparse.Namespace, d: int) -> None:
 
 
 def _verify_theorem4(args: argparse.Namespace, d: int) -> None:
-    pair = construct_mols(d)
-    perm = superimpose(pair)
-    report = entangling_power(perm)
-    ok = (
-        is_latin(pair.first.cells)
-        and is_latin(pair.second.cells)
-        and are_orthogonal(pair.first, pair.second)
-    )
+    first, second = construct_mols(d)
+    ok = is_latin(first) and is_latin(second) and are_orthogonal(first, second)
     _check(f"d={d} constructed pair is orthogonal Latin", ok, True, ok)
+    perm = superimpose((first, second))
+    report = entangling_power(perm)
     _check(
         f"d={d} superimposed power",
         report.epsilon == Fraction(d, d + 1),

@@ -16,40 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotOrthogonal, ParseError, UnsupportedOrder
 from .perm_core import BiPerm, lines_are_permutations, pairs_cover_grid, read_int_line, row_major
 
-
-class LatinSquare:
-    """d x d array over [d] whose rows and columns are all permutations."""
-
-    __slots__ = ("d", "cells")
-
-    def __init__(self, cells: Sequence[Sequence[int]]):
-        cells = tuple(tuple(int(v) for v in row) for row in cells)
-        if not is_latin(cells):
-            raise ValueError("not a Latin square")
-        self.d = len(cells)
-        self.cells = cells
-
-    @classmethod
-    def _trusted(cls, cells: tuple) -> "LatinSquare":
-        obj = object.__new__(cls)
-        obj.d = len(cells)
-        obj.cells = cells
-        return obj
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatinSquare) and self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
-
-    def __repr__(self) -> str:
-        return f"LatinSquare({[list(r) for r in self.cells]})"
+# A square is its tuple of rows; a pair of squares is the tuple (K, L).
+Square = tuple[tuple[int, ...], ...]
+Pair = tuple[Square, Square]
 
 
 def is_latin(cells: Sequence[Sequence[int]]) -> bool:
@@ -58,50 +32,37 @@ def is_latin(cells: Sequence[Sequence[int]]) -> bool:
     return lines_are_permutations(cells, d) and lines_are_permutations(zip(*cells), d)
 
 
-def are_orthogonal(
-    a: LatinSquare | Sequence[Sequence[int]],
-    b: LatinSquare | Sequence[Sequence[int]],
-) -> bool:
-    """True when superimposing yields all d^2 ordered pairs of [d] x [d] exactly once."""
-    ca = a.cells if isinstance(a, LatinSquare) else a
-    cb = b.cells if isinstance(b, LatinSquare) else b
-    return len(cb) == len(ca) and pairs_cover_grid(row_major(ca), row_major(cb), len(ca))
+def are_orthogonal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """True when a and b are both d x d and superimposing them yields every
+    ordered pair of [d] x [d] exactly once."""
+    d = len(a)
+    if len(b) != d or any(len(row) != d for row in (*a, *b)):
+        return False
+    return pairs_cover_grid(row_major(a), row_major(b), d)
 
 
-@dataclass(frozen=True)
-class OrthogonalPair:
-    """A validated orthogonal pair of Latin squares of the same side."""
+def superimpose(pair: Pair) -> BiPerm:
+    """Grid permutation (i, j) -> (K_ij, L_ij) of an orthogonal pair (K, L).
 
-    first: LatinSquare
-    second: LatinSquare
-
-    def __post_init__(self):
-        if self.first.d != self.second.d:
-            raise NotOrthogonal("sides differ")
-        if not are_orthogonal(self.first, self.second):
-            raise NotOrthogonal(
-                f"superimposed cells repeat; squares of side {self.first.d} "
-                "are not orthogonal"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.first.d
-
-
-def superimpose(pair: OrthogonalPair) -> BiPerm:
-    """Grid permutation (i, j) -> (first_ij, second_ij) of an orthogonal pair."""
-    return BiPerm._trusted(pair.d, pair.first.cells, pair.second.cells)
+    The one orthogonality check of the package: raises NotOrthogonal unless
+    `are_orthogonal(K, L)`, and otherwise returns `BiPerm(K, L)`.
+    """
+    first, second = pair
+    if not are_orthogonal(first, second):
+        raise NotOrthogonal(
+            f"squares of side {len(first)} and {len(second)} are not orthogonal"
+        )
+    return BiPerm._trusted(len(first), tuple(map(tuple, first)), tuple(map(tuple, second)))
 
 
 # --- constructions -----------------------------------------------------------
 
 
-def _cyclic_pair(d: int) -> tuple[LatinSquare, LatinSquare]:
+def _cyclic_pair(d: int) -> Pair:
     """Odd d: rows i+j and i+2j modulo d (0-based), shifted to [d]."""
     a = tuple(tuple((i + j) % d + 1 for j in range(d)) for i in range(d))
     b = tuple(tuple((i + 2 * j) % d + 1 for j in range(d)) for i in range(d))
-    return LatinSquare._trusted(a), LatinSquare._trusted(b)
+    return a, b
 
 
 def _gf2_modulus(k: int) -> int:
@@ -123,7 +84,7 @@ def _gf2_modulus(k: int) -> int:
     )
 
 
-def _field_pair(q: int) -> tuple[LatinSquare, LatinSquare]:
+def _field_pair(q: int) -> Pair:
     """Power of two q = 2^k: rows i + j and x*i + j over GF(q).
 
     Elements are k-bit masks of polynomial coefficients, so addition is
@@ -135,31 +96,28 @@ def _field_pair(q: int) -> tuple[LatinSquare, LatinSquare]:
     x_times = [(i << 1) ^ (poly if i << 1 >= q else 0) for i in range(q)]
     a = tuple(tuple((i ^ j) + 1 for j in range(q)) for i in range(q))
     b = tuple(tuple((x_times[i] ^ j) + 1 for j in range(q)) for i in range(q))
-    return LatinSquare._trusted(a), LatinSquare._trusted(b)
+    return a, b
 
 
-def _product_pair(
-    outer: OrthogonalPair, inner: OrthogonalPair
-) -> tuple[LatinSquare, LatinSquare]:
+def _product_pair(outer: Pair, inner: Pair) -> Pair:
     """Direct product of orthogonal pairs of sides m and n, side m*n result.
 
     Cells combine in (m, n) mixed radix: ((x1-1)*n + (x2-1)) + 1.
     """
-    m, n = outer.d, inner.d
+    m, n = len(outer[0]), len(inner[0])
 
-    def combine(first: LatinSquare, second: LatinSquare) -> LatinSquare:
-        cells = tuple(
+    def combine(first: Square, second: Square) -> Square:
+        return tuple(
             tuple(
-                (first.cells[i1][j1] - 1) * n + second.cells[i2][j2]
+                (first[i1][j1] - 1) * n + second[i2][j2]
                 for j1 in range(m)
                 for j2 in range(n)
             )
             for i1 in range(m)
             for i2 in range(n)
         )
-        return LatinSquare._trusted(cells)
 
-    return combine(outer.first, inner.first), combine(outer.second, inner.second)
+    return combine(outer[0], inner[0]), combine(outer[1], inner[1])
 
 
 def mols_supported(d: int) -> bool:
@@ -171,8 +129,8 @@ def mols_supported(d: int) -> bool:
     return d >= 3 and d % 4 != 2
 
 
-def construct_mols(d: int) -> OrthogonalPair:
-    """Build an orthogonal pair of side d.
+def construct_mols(d: int) -> Pair:
+    """Build an orthogonal pair (K, L) of side d, as two tuples of rows.
 
     Strategy: odd d uses the cyclic rows i+j and i+2j; powers of two use
     the multipliers 1 and x over GF(2^k); every other side of the form
@@ -180,7 +138,8 @@ def construct_mols(d: int) -> OrthogonalPair:
     both m and d/m are supported.  Sides 2 and 6 have no orthogonal pair
     at all; the other sides congruent to 2 mod 4 have pairs, but they need
     the Bose-Shrikhande-Parker construction, which this module does not
-    build.  For those, `parse_pair_file` reads and validates a pair.
+    build.  For those, `parse_pair_file` reads a pair and `superimpose`
+    checks it.
     """
     if not mols_supported(d):
         if d == 2:
@@ -197,17 +156,15 @@ def construct_mols(d: int) -> OrthogonalPair:
             "are not constructed here; supply a validated pair file"
         )
     if d % 2 == 1:
-        first, second = _cyclic_pair(d)
-    elif d & (d - 1) == 0:
-        first, second = _field_pair(d)
-    else:
-        m = next(
-            m
-            for m in range(3, math.isqrt(d) + 1)
-            if d % m == 0 and mols_supported(m) and mols_supported(d // m)
-        )
-        first, second = _product_pair(construct_mols(m), construct_mols(d // m))
-    return OrthogonalPair(first, second)
+        return _cyclic_pair(d)
+    if d & (d - 1) == 0:
+        return _field_pair(d)
+    m = next(
+        m
+        for m in range(3, math.isqrt(d) + 1)
+        if d % m == 0 and mols_supported(m) and mols_supported(d // m)
+    )
+    return _product_pair(construct_mols(m), construct_mols(d // m))
 
 
 # --- the side-6 extremum ------------------------------------------------------
@@ -239,31 +196,35 @@ def special_d6_perm() -> BiPerm:
 # squares separated by a blank line.
 
 
-def format_latin_square(sq: LatinSquare) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in sq.cells) + "\n"
+def format_latin_square(rows: Sequence[Sequence[int]]) -> str:
+    return "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"
 
 
-def format_pair(pair: OrthogonalPair) -> str:
-    return format_latin_square(pair.first) + "\n" + format_latin_square(pair.second)
+def format_pair(pair: Pair) -> str:
+    return format_latin_square(pair[0]) + "\n" + format_latin_square(pair[1])
 
 
-def _parse_square_lines(lines: list[str], offset: int) -> LatinSquare:
+def _parse_square_lines(lines: list[str], offset: int) -> Square:
     d = len(lines[0].split())
-    if len(lines) < d:
+    if len(lines) != d:
         raise ParseError(f"line {offset + 1}: square of side {d} needs {d} lines")
-    rows = enumerate(lines[:d], start=offset + 1)
+    rows = enumerate(lines, start=offset + 1)
     cells = tuple(tuple(read_int_line(ln, d, f"line {r}", high=d)) for r, ln in rows)
     if not is_latin(cells):
         raise ParseError(f"line {offset + 1}: block is not a Latin square")
-    return LatinSquare._trusted(cells)
+    return cells
 
 
-def parse_pair_file(text: str) -> OrthogonalPair:
-    """Parse two blank-line separated squares and validate orthogonality."""
+def parse_pair_file(text: str) -> Pair:
+    """Parse two blank-line separated Latin squares into the pair (K, L).
+
+    Each block must be a d-line Latin square; whether the two are
+    orthogonal is for `superimpose` to check.
+    """
     runs = itertools.groupby(text.splitlines(), key=lambda ln: bool(ln.strip()))
     chunks = [list(run) for filled, run in runs if filled]
     if len(chunks) != 2:
         raise ParseError(f"expected 2 squares separated by a blank line, got {len(chunks)}")
     first = _parse_square_lines(chunks[0], offset=0)
     second = _parse_square_lines(chunks[1], offset=len(chunks[0]) + 1)
-    return OrthogonalPair(first, second)
+    return first, second

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from permupower import BiPerm, LatinSquare, are_orthogonal, biperm_from_flat, random_perm
+from permupower import BiPerm, are_orthogonal, biperm_from_flat, random_perm
 from permupower.perm_core import lex_blocks
 
 
@@ -39,12 +39,13 @@ def local_rows(d: int) -> np.ndarray:
 
 
 def latin_squares(d: int):
-    """Every Latin square of side d, lexicographic by rows (backtracking)."""
+    """Every Latin square of side d as a tuple of rows, lexicographic by rows
+    (backtracking)."""
     rows = list(itertools.permutations(range(1, d + 1)))
 
     def extend(stack):
         if len(stack) == d:
-            yield LatinSquare(stack)
+            yield tuple(stack)
             return
         for row in rows:
             if all(row[c] != prev[c] for prev in stack for c in range(d)):

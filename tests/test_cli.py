@@ -261,7 +261,7 @@ class TestMols:
         code, out, _ = run(["mols", "--d", "7", "--out", str(out_file)], capsys)
         assert code == 0
         pair = parse_pair_file(out_file.read_text())
-        assert pair.d == 7
+        assert len(pair[0]) == 7
         perm = parse_biperm((tmp_path / "pair.txt.perm").read_text())
         assert entangling_power(perm).epsilon.numerator == 7
 
@@ -319,6 +319,15 @@ class TestMols:
         code, out, err = run(["mols", "--d", "3", "--table", "table.txt"], capsys)
         assert code == 3 and out == ""
         assert err.count("error:") == 1 and message in err
+        assert [path.name for path in tmp_path.iterdir()] == ["table.txt"]
+
+    def test_table_extra_line_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        table = "1 2 3\n2 3 1\n3 1 2\nextra junk\n\n1 3 2\n2 1 3\n3 2 1\n"
+        (tmp_path / "table.txt").write_text(table)
+        code, out, err = run(["mols", "--d", "3", "--table", "table.txt"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "line 1: square of side 3 needs 3 lines" in err
         assert [path.name for path in tmp_path.iterdir()] == ["table.txt"]
 
 

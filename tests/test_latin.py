@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from permupower import (
-    LatinSquare,
+    BiPerm,
     NotOrthogonal,
-    OrthogonalPair,
     ParseError,
     UnsupportedOrder,
     are_orthogonal,
@@ -36,6 +35,11 @@ R9_K = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 R9_L = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
 
 SUPPORTED_UP_TO_12 = (3, 4, 5, 7, 8, 9, 11, 12)
+
+# Grids of three rows each whose 9 flat cells cover [3]^2 once, but whose
+# rows are not of length 3: no orthogonal pair (tests/test_perm_core.py
+# checks are_orthogonal and BiPerm on it).
+RAGGED = (((1, 1), (1, 2, 2, 2), (3, 3, 3)), ((1, 2), (3, 1, 2, 3), (1, 2, 3)))
 
 # The two side-6 Latin squares that come as close to orthogonality as
 # possible; superimposing them repeats the pairs 33 and 44, so they do NOT
@@ -78,35 +82,31 @@ class TestPredicates:
         assert not is_latin(((1, 2), (2, 2)))
         assert not is_latin(((1, 2, 3), (2, 3, 1)))
 
-    def test_latin_square_type(self):
-        sq = LatinSquare(R9_K)
-        assert sq.d == 3
-        with pytest.raises(ValueError):
-            LatinSquare(((1, 2), (1, 2)))
-
 
 class TestSuperimpose:
     def test_r9(self):
-        perm = superimpose(OrthogonalPair(LatinSquare(R9_K), LatinSquare(R9_L)))
-        report = entangling_power(perm)
-        assert report.epsilon == Fraction(3, 4)
+        perm = superimpose((R9_K, R9_L))
+        assert perm == BiPerm(R9_K, R9_L)
+        assert entangling_power(perm).epsilon == Fraction(3, 4)
+        # rows given as lists give the same permutation
+        assert superimpose(([list(row) for row in R9_K], [list(row) for row in R9_L])) == perm
 
     def test_cyclic_d5(self):
         report = entangling_power(superimpose(construct_mols(5)))
         assert report.epsilon == Fraction(5, 6)
 
     def test_non_orthogonal_rejected(self):
-        with pytest.raises(NotOrthogonal):
-            OrthogonalPair(LatinSquare(R9_K), LatinSquare(R9_K))
-        with pytest.raises(NotOrthogonal):
-            superimpose(OrthogonalPair(LatinSquare(R9_L), LatinSquare(R9_L)))
+        k4, l4 = construct_mols(4)
+        # a repeated square, the closest side-6 pair, ragged rows, sides that differ
+        for pair in [(R9_K, R9_K), (R9_L, R9_L), D6_NEAR_ORTHOGONAL, RAGGED,
+                     (R9_K, l4), (k4, R9_L)]:
+            with pytest.raises(NotOrthogonal, match="are not orthogonal"):
+                superimpose(pair)
 
 
 class TestConstructMols:
     def test_d3_matches_classic_pair(self):
-        pair = construct_mols(3)
-        assert pair.first.cells == R9_K
-        assert pair.second.cells == R9_L
+        assert construct_mols(3) == (R9_K, R9_L)
 
     @pytest.mark.parametrize("d", [2, 6])
     def test_nonexistent_orders(self, d):
@@ -124,9 +124,9 @@ class TestConstructMols:
     @pytest.mark.parametrize("d", SUPPORTED_UP_TO_12)
     def test_supported_sweep(self, d):
         assert mols_supported(d)
-        pair = construct_mols(d)
-        assert is_latin(pair.first.cells) and is_latin(pair.second.cells)
-        assert are_orthogonal(pair.first, pair.second)
+        first, second = pair = construct_mols(d)
+        assert is_latin(first) and is_latin(second)
+        assert are_orthogonal(first, second)
         perm = superimpose(pair)
         assert entangling_power(perm).epsilon == Fraction(d, d + 1)
         assert check_block_conditions(perm).all()
@@ -141,7 +141,8 @@ class TestConstructMols:
             supported = d >= 3 and d % 4 != 2
             assert mols_supported(d) == supported, d
             if supported:
-                assert construct_mols(d).d == d
+                first, second = construct_mols(d)
+                assert len(first) == len(second) == d
             else:
                 with pytest.raises(UnsupportedOrder):
                     construct_mols(d)
@@ -154,21 +155,24 @@ class TestConstructMols:
 
     @pytest.mark.parametrize("d", [32, 64, 128])
     def test_large_field_pairs(self, d):
-        pair = construct_mols(d)
-        assert is_latin(pair.first.cells) and is_latin(pair.second.cells)
-        assert are_orthogonal(pair.first, pair.second)
+        first, second = pair = construct_mols(d)
+        assert is_latin(first) and is_latin(second)
+        assert are_orthogonal(first, second)
         flat = np.array([biperm_to_flat(superimpose(pair))], dtype=np.int32) - 1
         assert q_totals_batch(flat, d).tolist() == [2 * d * d]
 
     def test_table_file_load(self):
         pair = parse_pair_file(format_pair(construct_mols(7)))
         assert pair == construct_mols(7)
-        assert are_orthogonal(pair.first, pair.second)
+        assert are_orthogonal(*pair)
 
     def test_table_file_validated(self):
-        sq = format_latin_square(LatinSquare(R9_K))
+        # parsing reads any two Latin squares; superimpose checks the pair
+        sq = format_latin_square(R9_K)
+        pair = parse_pair_file(sq + "\n" + sq)
+        assert pair == (R9_K, R9_K)
         with pytest.raises(NotOrthogonal):
-            parse_pair_file(sq + "\n" + sq)
+            superimpose(pair)
 
 
 class TestSpecialD6:
@@ -202,13 +206,12 @@ class TestEnumeration:
         assert sum(1 for _ in latin_squares(d)) == count
 
     def test_first_square_is_cyclic(self):
-        first = next(latin_squares(3))
-        assert first.cells == R9_K
+        assert next(latin_squares(3)) == R9_K
 
     def test_all_valid_and_distinct(self):
         squares = list(latin_squares(3))
         assert len(set(squares)) == 12
-        assert all(is_latin(sq.cells) for sq in squares)
+        assert all(is_latin(sq) for sq in squares)
 
 
 class TestPairCounting:
@@ -257,15 +260,12 @@ class TestConverseAtD3:
 
 class TestSerialization:
     def test_square_roundtrip(self):
-        first, second = LatinSquare(R9_L), LatinSquare(R9_K)
-        text = format_latin_square(first) + "\n" + format_latin_square(second)
-        assert parse_pair_file(text) == OrthogonalPair(first, second)
+        text = format_latin_square(R9_L) + "\n" + format_latin_square(R9_K)
+        assert parse_pair_file(text) == (R9_L, R9_K)
 
     def test_pair_roundtrip(self):
         pair = construct_mols(4)
-        parsed = parse_pair_file(format_pair(pair))
-        assert parsed.first == pair.first
-        assert parsed.second == pair.second
+        assert parse_pair_file(format_pair(pair)) == pair
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -275,6 +275,8 @@ class TestSerialization:
             ("1 2\n2 1\n\n1 2\n2 x", "token 2"),
             ("1 2\n2 1\n\n1 3\n3 1", "outside"),
             ("1 2\n2 2\n\n1 2\n2 1", "not a Latin square"),
+            ("1 2 3\n2 3 1\n3 1 2\nextra junk\n\n1 3 2\n2 1 3\n3 2 1",
+             "^line 1: square of side 3 needs 3 lines$"),
         ],
     )
     def test_pair_parse_errors(self, text, fragment):
@@ -283,4 +285,4 @@ class TestSerialization:
 
     def test_square_parse_short(self):
         with pytest.raises(ParseError, match="^line 1: square of side 3 needs 3 lines$"):
-            parse_pair_file("1 2 3\n2 3 1\n\n" + format_latin_square(LatinSquare(R9_L)))
+            parse_pair_file("1 2 3\n2 3 1\n\n" + format_latin_square(R9_L))

@@ -125,8 +125,9 @@ class TestCoverRule:
     def test_matches_reference(self, d):
         cases = list(near_bijections(d, 400, seed=13))
         if d == 3:
-            squares = [sq.cells for sq in latin_squares(3)]
-            cases += itertools.product(squares, repeat=2)
+            cases += itertools.product(latin_squares(3), repeat=2)
+            # nine flat cells that cover [3]^2 once, in rows that are not 3 long
+            cases.append((((1, 1), (1, 2, 2, 2), (3, 3, 3)), ((1, 2), (3, 1, 2, 3), (1, 2, 3))))
         verdicts = []
         for k, l in cases:
             expected = covers_grid_reference(k, l)

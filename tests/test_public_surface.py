@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC_NAMES = [
     "BiPerm", "BlockConditions", "BudgetExceeded", "ClassHistogram",
     "DegenerateDimension", "DimensionMismatch", "DimensionTooLarge",
-    "IndexOutOfRange", "InsufficientSamples", "LatinSquare",
-    "NotBijection", "NotOrthogonal", "NotUnitary", "OrthogonalPair",
+    "IndexOutOfRange", "InsufficientSamples",
+    "NotBijection", "NotOrthogonal", "NotUnitary",
     "ParameterOrderViolation", "ParseError", "PermupowerError", "PowerReport",
     "RectangleFlags", "Unitary",
     "UnsupportedOrder", "are_orthogonal", "biperm_from_flat",
