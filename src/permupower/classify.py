@@ -17,6 +17,7 @@ are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -167,13 +168,11 @@ def _q_histogram(blocks: Iterable[np.ndarray], d: int) -> Counter:
 
 
 def _stratum_q_counts(d: int, stratum: int) -> Counter:
-    """Q_P + Q_PS histogram over the permutations starting with `stratum`.
+    """Q_P + Q_PS histogram over the (d^2 - 1)! permutations starting with `stratum`.
 
-    Images are 0-based here; `stratum` ranges over 0..d^2-1, and its
-    permutations are the ranks [stratum, stratum + 1) * (d^2 - 1)!.
+    Images are 0-based here, so `stratum` ranges over 0..d^2-1.
     """
-    size = math.factorial(d * d - 1)
-    return _q_histogram(lex_blocks(d * d, stratum * size, (stratum + 1) * size), d)
+    return _q_histogram(lex_blocks(d * d, stratum), d)
 
 
 def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
@@ -184,54 +183,63 @@ def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
     return _q_histogram(random_blocks(d * d, count, rng), d)
 
 
-def _run_units(fn: Callable, units: list[tuple], workers: int) -> Iterator:
-    """Yield fn(*unit) for each unit in order, serially or in a process pool."""
-    if workers > 1 and len(units) > 1:
+def _run_units(fn: Callable, units: Iterable[tuple], workers: int) -> Iterator:
+    """Yield fn(*unit) for each unit in order, serially or in a process pool.
+
+    Units are read a few per worker at a time, so neither this process nor
+    the pool's queue ever holds a long sequence of them whole.
+    """
+    units = iter(units)
+    batch = list(itertools.islice(units, 4 * workers))
+    if workers > 1 and len(batch) > 1:
         # numpy is imported before the pool forks, so that the children
         # share the parent's copy rather than each importing its own.
         import numpy
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
-            yield from pool.map(fn, *zip(*units))
+        with ProcessPoolExecutor(max_workers=min(workers, len(batch))) as pool:
+            while batch:
+                yield from pool.map(fn, *zip(*batch))
+                batch = list(itertools.islice(units, 4 * workers))
     else:
-        for unit in units:
+        for unit in itertools.chain(batch, units):
             yield fn(*unit)
 
 
 # --- exhaustive census ---------------------------------------------------------
 
 
-def _checkpoint_path(directory: Path, d: int, lo: int, hi: int) -> Path:
-    return directory / f"census-d{d}-ranks-{lo}-{hi}.json"
+def _checkpoint_path(directory: Path, d: int, stratum: int) -> Path:
+    return directory / f"census-d{d}-stratum-{stratum}.json"
 
 
-def _load_checkpoint(path: Path, d: int, lo: int, hi: int) -> dict[int, int] | None:
+def _load_checkpoint(path: Path, d: int, stratum: int) -> dict[int, int] | None:
     if not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-        if payload.get("d") != d or payload.get("lo") != lo or payload.get("hi") != hi:
+        if payload.get("d") != d or payload.get("stratum") != stratum:
             return None
-        counts = {int(key): int(cnt) for key, cnt in payload["q_counts"].items()}
+        counts = {int(key): cnt for key, cnt in payload["q_counts"].items()}
     except (ValueError, KeyError, AttributeError, TypeError):
         return None  # damaged checkpoint: recompute the stratum
-    if sum(counts.values()) != hi - lo:
-        return None  # counts do not cover the rank range: recompute
-    # each count is positive, and each Q_P + Q_PS total even and in
-    # [2d^2, d^4 + d^2], where the power lies in [0, d/(d+1)]
-    if any(c < 1 or q % 2 or not 2 * d * d <= q <= d**4 + d * d for q, c in counts.items()):
+    # each count is a positive JSON integer (not a float, string or bool),
+    # and each Q_P + Q_PS total even and in [2d^2, d^4 + d^2], where the
+    # power lies in [0, d/(d+1)]
+    if any(
+        type(c) is not int or c < 1 or q % 2 or not 2 * d * d <= q <= d**4 + d * d
+        for q, c in counts.items()
+    ):
         return None  # not a census of this d: recompute
+    if sum(counts.values()) != math.factorial(d * d - 1):
+        return None  # counts do not cover the stratum: recompute
     return counts
 
 
-def _write_checkpoint(
-    path: Path, d: int, lo: int, hi: int, counts: dict[int, int]
-) -> None:
+def _write_checkpoint(path: Path, d: int, stratum: int, counts: dict[int, int]) -> None:
     payload = {
         "d": d,
-        "lo": lo,
-        "hi": hi,
+        "stratum": stratum,
         "q_counts": {str(key): cnt for key, cnt in sorted(counts.items())},
     }
     tmp = path.with_suffix(".tmp")
@@ -245,12 +253,13 @@ def classify_exhaustive(
     force: bool = False,
     checkpoint_dir: str | Path | None = None,
 ) -> ClassHistogram:
-    """Exact census over all d^2! permutations.
+    """Exact census over all d^2! permutations, one stratum per work unit.
 
     Needs 2 <= d <= 215, and `force` above ENUMERATION_MAX_D.  With
-    `checkpoint_dir`, each stratum persists its partial histogram (keyed by
-    rank range) as soon as it completes, and a rerun, also after an
-    interrupted one, computes only the strata not already on disk.
+    `checkpoint_dir`, each stratum persists its partial histogram
+    (`census-d{d}-stratum-{s}.json`) as soon as it completes, and a rerun,
+    also after an interrupted one, computes only the strata not already on
+    disk.
     """
     check_power_dimension(d)
     if d > ENUMERATION_MAX_D and not force:
@@ -258,19 +267,16 @@ def classify_exhaustive(
             f"exhaustive census at d = {d} means {d * d}! evaluations; "
             "pass force to override"
         )
-    n = d * d
-    stratum_size = math.factorial(n - 1)
     directory = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
 
     merged: Counter = Counter()
     pending: list[tuple[int, int]] = []
-    for s in range(n):
-        lo, hi = s * stratum_size, (s + 1) * stratum_size
+    for s in range(d * d):
         cached = None
         if directory is not None:
-            cached = _load_checkpoint(_checkpoint_path(directory, d, lo, hi), d, lo, hi)
+            cached = _load_checkpoint(_checkpoint_path(directory, d, s), d, s)
         if cached is None:
             pending.append((d, s))
         else:
@@ -280,8 +286,7 @@ def classify_exhaustive(
     units = _run_units(_stratum_q_counts, pending, workers)
     for counts, (_, s) in zip(units, pending, strict=True):
         if directory is not None:
-            lo, hi = s * stratum_size, (s + 1) * stratum_size
-            _write_checkpoint(_checkpoint_path(directory, d, lo, hi), d, lo, hi, counts)
+            _write_checkpoint(_checkpoint_path(directory, d, s), d, s, counts)
         merged.update(counts)
     return _histogram_from_q_counts(d, "exhaustive", merged)
 
@@ -307,10 +312,10 @@ def classify_sampled(
         raise InsufficientSamples("need at least 2 samples")
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed {seed} outside [0, 2**32)")
-    chunks = [
+    chunks = (
         (d, seed, index, min(SAMPLE_CHUNK, samples - start))
         for index, start in enumerate(range(0, samples, SAMPLE_CHUNK))
-    ]
+    )
     merged: Counter = Counter()
     for counts in _run_units(_sample_chunk_q, chunks, workers):
         merged.update(counts)

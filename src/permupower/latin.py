@@ -204,14 +204,15 @@ def format_pair(pair: Pair) -> str:
     return format_latin_square(pair[0]) + "\n" + format_latin_square(pair[1])
 
 
-def _parse_square_lines(lines: list[str], offset: int) -> Square:
-    d = len(lines[0].split())
+def _parse_square_lines(lines: list[tuple[int, str]]) -> Square:
+    """The square on `lines`, each paired with its 1-based number in the file."""
+    first, top = lines[0]
+    d = len(top.split())
     if len(lines) != d:
-        raise ParseError(f"line {offset + 1}: square of side {d} needs {d} lines")
-    rows = enumerate(lines, start=offset + 1)
-    cells = tuple(tuple(read_int_line(ln, d, f"line {r}", high=d)) for r, ln in rows)
+        raise ParseError(f"line {first}: square of side {d} needs {d} lines")
+    cells = tuple(tuple(read_int_line(ln, d, f"line {r}", high=d)) for r, ln in lines)
     if not is_latin(cells):
-        raise ParseError(f"line {offset + 1}: block is not a Latin square")
+        raise ParseError(f"line {first}: block is not a Latin square")
     return cells
 
 
@@ -221,10 +222,9 @@ def parse_pair_file(text: str) -> Pair:
     Each block must be a d-line Latin square; whether the two are
     orthogonal is for `superimpose` to check.
     """
-    runs = itertools.groupby(text.splitlines(), key=lambda ln: bool(ln.strip()))
+    numbered = enumerate(text.splitlines(), start=1)
+    runs = itertools.groupby(numbered, key=lambda line: bool(line[1].strip()))
     chunks = [list(run) for filled, run in runs if filled]
     if len(chunks) != 2:
         raise ParseError(f"expected 2 squares separated by a blank line, got {len(chunks)}")
-    first = _parse_square_lines(chunks[0], offset=0)
-    second = _parse_square_lines(chunks[1], offset=len(chunks[0]) + 1)
-    return first, second
+    return _parse_square_lines(chunks[0]), _parse_square_lines(chunks[1])

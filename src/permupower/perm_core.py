@@ -10,13 +10,14 @@ single index t in [d^2] is row-major with i major:
 A flat image is a plain tuple of ints at the file boundary; inside a
 census, flat permutations travel as numpy blocks of 0-based images, one
 permutation per row, never more than `BLOCK_CELLS` cells to a block.
-`lex_blocks` cuts the lexicographic order into strata of consecutive
-ranks and each stratum into blocks that share all but their last r
-positions; `random_blocks` draws uniform permutations in blocks.
+`lex_blocks` walks the lexicographic order, whole or one stratum (the
+permutations that start with one symbol) at a time, in blocks that share
+all but their last r positions; `random_blocks` draws uniform
+permutations in blocks.
 
 Everything here is immutable after construction and safe to share across
-threads.  Parallel consumers of `lex_blocks` should split the rank
-interval; parallel users of `random_perm` or `random_blocks` must give
+threads.  Parallel consumers of `lex_blocks` should take one stratum
+each; parallel users of `random_perm` or `random_blocks` must give
 each worker its own generator,
 ``np.random.default_rng([base_seed, worker_index])``.  (With
 ``base_seed XOR worker_index``, worker 1 of seed 42 would draw the stream
@@ -237,49 +238,33 @@ def _lex_table(r: int) -> np.ndarray:
     return table
 
 
-def _lex_prefix(n: int, length: int, rank: int) -> tuple[list[int], list[int]]:
-    """The arrangement of `length` symbols of range(n) with lexicographic rank
-    `rank`, and the symbols it leaves, sorted.
+def lex_blocks(n: int, first: int | None = None) -> Iterator[np.ndarray]:
+    """All n! permutations of range(n) in lexicographic order, or only the
+    (n - 1)! that start with `first`.
 
-    Position t's digit counts the perm(n-1-t, length-1-t) completions of
-    each smaller choice there.
-    """
-    rest = list(range(n))
-    prefix = []
-    for t in range(length):
-        digit, rank = divmod(rank, math.perm(n - 1 - t, length - 1 - t))
-        prefix.append(rest.pop(digit))
-    return prefix, rest
-
-
-def lex_blocks(n: int, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
-    """Permutations of range(n) with lexicographic ranks in [start, stop).
-
-    Yields int32 blocks of 0-based images, one permutation per row, in
-    rank order.  A full block holds the r! permutations that share their
-    first n - r symbols, for the largest r with r! * n <= BLOCK_CELLS:
-    each block's prefix is unranked directly, and the last r positions
-    index the remaining symbols with the cached lexicographic table of
-    range(r).
+    Yields int32 blocks of 0-based images, one permutation per row.  A
+    block holds the r! permutations that share their first n - r symbols,
+    for the largest r < n with r! * n <= BLOCK_CELLS: the prefixes are
+    `first` (or each symbol in turn) followed by the arrangements of the
+    other symbols, in the lexicographic order of itertools.permutations,
+    and the last r positions index the remaining symbols with the cached
+    lexicographic table of range(r).
     """
     import numpy as np
 
-    r = 1
-    while r < n and math.factorial(r + 1) * n <= BLOCK_CELLS:
+    r = 0
+    while r + 1 < n and math.factorial(r + 1) * n <= BLOCK_CELLS:
         r += 1
-    size = math.factorial(r)
-    total = math.factorial(n)
-    stop = total if stop is None else min(stop, total)
-    if start >= stop:
-        return
     table = _lex_table(r)
-    for b in range(start // size, -(-stop // size)):
-        prefix, rest = _lex_prefix(n, n - r, b)
-        rows = table[max(start - b * size, 0) : stop - b * size]
-        block = np.empty((rows.shape[0], n), dtype=np.int32)
-        block[:, : n - r] = prefix
-        block[:, n - r :] = np.array(rest, dtype=np.int32)[rows]
-        yield block
+    for head in range(n) if first is None else (first,):
+        others = [s for s in range(n) if s != head]
+        for tail in itertools.permutations(others, n - 1 - r):
+            rest = [s for s in others if s not in tail]
+            block = np.empty((len(table), n), dtype=np.int32)
+            block[:, 0] = head
+            block[:, 1 : n - r] = tail
+            block[:, n - r :] = np.array(rest, dtype=np.int32)[table]
+            yield block
 
 
 def random_blocks(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:

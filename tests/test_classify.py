@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -177,26 +178,37 @@ class TestExhaustive:
 
     def test_checkpoint_rejects_wrong_total(self, tmp_path):
         classify_exhaustive(2, checkpoint_dir=tmp_path)
-        path = tmp_path / "census-d2-ranks-0-6.json"
+        path = tmp_path / "census-d2-stratum-0.json"
         payload = json.loads(path.read_text())
         good = dict(payload["q_counts"])
-        # a wrong sum; then sums of 6 with a count below 1, or a Q total
-        # outside [2d^2, d^4 + d^2] = [8, 20]
+        # a wrong sum; then sums of 6 with a count below 1, a Q total
+        # outside [2d^2, d^4 + d^2] = [8, 20], or a count that is not a
+        # JSON integer (int() would read 6.9 as 6, "6" as 6 and true as 1)
         damaged = [{key: 2 * cnt for key, cnt in good.items()},
-                   {"12": 7, "20": -1}, {"0": 6}, {"20": -1, "40": 7}]
+                   {"12": 7, "20": -1}, {"0": 6}, {"20": -1, "40": 7},
+                   {"12": 6.9}, {"12": "6"}, {"12": 5, "20": True}]
         clean = classify_exhaustive(2).to_json()
         for q_counts in damaged:
             path.write_text(json.dumps(dict(payload, q_counts=q_counts)))
-            assert classify._load_checkpoint(path, 2, 0, 6) is None
+            assert classify._load_checkpoint(path, 2, 0) is None
             hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
             assert hist.classes == D2_CLASSES and hist.to_json() == clean
             assert json.loads(path.read_text())["q_counts"] == good
 
     def test_checkpoint_ignores_stale(self, tmp_path):
-        stale = tmp_path / "census-d2-ranks-0-6.json"
-        stale.write_text(json.dumps({"d": 3, "lo": 0, "hi": 6, "q_counts": {}}))
+        stale = tmp_path / "census-d2-stratum-0.json"
+        stale.write_text(json.dumps({"d": 3, "stratum": 0, "q_counts": {}}))
+        # files of the earlier rank-range layout, here claiming that every
+        # permutation of each stratum has power zero, are never read
+        for s in range(4):
+            old = tmp_path / f"census-d2-ranks-{6 * s}-{6 * s + 6}.json"
+            old.write_text(json.dumps(
+                {"d": 2, "lo": 6 * s, "hi": 6 * s + 6, "q_counts": {"20": 6}}
+            ))
         hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
         assert hist.classes == D2_CLASSES
+        assert json.loads(stale.read_text())["d"] == 2
+        assert len(list(tmp_path.glob("census-d2-stratum-*.json"))) == 4
 
 
 class TestSampled:
@@ -305,13 +317,15 @@ def test_cap_checked_before_any_block(monkeypatch, census):
         census()
 
 
-def test_pool_no_larger_than_the_units(monkeypatch):
-    # a fork pool starts all max_workers processes at the first submit
-    sizes = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Swap the process pool for one that maps in this process; record the
+    size of each pool and the number of units of each map call."""
+    log = {"sizes": [], "fed": []}
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -320,15 +334,54 @@ def test_pool_no_larger_than_the_units(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
+            log["fed"].append(len(iterables[0]))
             return map(fn, *iterables)
 
     # _run_units imports the pool class when it opens a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return log
+
+
+def test_pool_no_larger_than_the_units(in_process_pool):
+    # a fork pool starts all max_workers processes at the first submit
     assert classify_exhaustive(2, workers=64).classes == D2_CLASSES  # 4 strata
     units = [(2, 3), (3, 2), (4, 1)]
     for workers in (8, 2):
         assert list(classify._run_units(pow, units, workers)) == [8, 9, 4]
-    assert sizes == [4, 3, 2]
+    assert in_process_pool["sizes"] == [4, 3, 2]
+
+
+def test_pool_fed_a_few_units_at_a_time(in_process_pool):
+    # Executor.map submits every unit it is given at once, so the runner
+    # hands it a few units per worker from a lazy sequence
+    units = ((2, k) for k in range(100))
+    assert list(classify._run_units(pow, units, 3)) == [2**k for k in range(100)]
+    assert in_process_pool["sizes"] == [3]
+    assert sum(in_process_pool["fed"]) == 100
+    assert max(in_process_pool["fed"]) <= 4 * 3
+
+
+def test_sampled_units_built_lazily(monkeypatch):
+    # 10**10 samples are 200,000 chunks: listing their units up front
+    # peaks at about 21 MiB, counting three of them should not
+    calls = []
+
+    def three_units(d, seed, chunk_index, count):
+        if len(calls) == 3:
+            raise RuntimeError("stopped after three units")
+        calls.append(chunk_index)
+        return Counter({2 * d * d: count})
+
+    monkeypatch.setattr(classify, "_sample_chunk_q", three_units)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="three units"):
+            classify_sampled(2, 10**10, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [0, 1, 2]
+    assert peak < 256 * 1024
 
 
 class TestMinNonzero:

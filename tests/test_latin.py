@@ -273,6 +273,9 @@ class TestSerialization:
             ("", "expected 2 squares"),
             ("1 2\n2 1", "expected 2 squares"),
             ("1 2\n2 1\n\n1 2\n2 x", "token 2"),
+            # lines are numbered as in the file, blank ones included
+            ("\n1 2\n2 x\n\n1 2\n2 1", "^line 3, token 2"),
+            ("1 2\n2 1\n\n\n1 2\n2 x", "^line 6, token 2"),
             ("1 2\n2 1\n\n1 3\n3 1", "outside"),
             ("1 2\n2 2\n\n1 2\n2 1", "not a Latin square"),
             ("1 2 3\n2 3 1\n3 1 2\nextra junk\n\n1 3 2\n2 1 3\n3 2 1",

@@ -222,9 +222,22 @@ class TestDetectNonEntangling:
         assert len(structural) == 2 * math.factorial(2) ** 2  # 8
 
 
-def lex_rows(n: int, start: int = 0, stop: int | None = None) -> list[tuple[int, ...]]:
-    """The rows lex_blocks yields for the ranks [start, stop), as tuples."""
-    return [tuple(row) for block in lex_blocks(n, start, stop) for row in block.tolist()]
+def lex_rows(n: int, first: int | None = None) -> list[tuple[int, ...]]:
+    """The rows lex_blocks yields, as tuples."""
+    return [tuple(row) for block in lex_blocks(n, first) for row in block.tolist()]
+
+
+def lex_array(n: int, first: int | None = None, blocks: int | None = None) -> np.ndarray:
+    """The rows of the first `blocks` blocks lex_blocks yields (all when None)."""
+    return np.concatenate(list(itertools.islice(lex_blocks(n, first), blocks)))
+
+
+def perms_array(symbols, head: tuple = (), count: int | None = None) -> np.ndarray:
+    """`head` followed by the first `count` arrangements of `symbols` in
+    itertools.permutations order, one row each."""
+    rows = itertools.islice(itertools.permutations(symbols), count)
+    flat = itertools.chain.from_iterable(head + row for row in rows)
+    return np.fromiter(flat, dtype=np.int32).reshape(-1, len(head) + len(symbols))
 
 
 class TestEnumeration:
@@ -236,47 +249,39 @@ class TestEnumeration:
         assert next(all_biperms(2)) == identity_perm(2)
 
     def test_d3_count(self):
-        assert sum(len(block) for block in lex_blocks(9)) == math.factorial(9)
+        # at n = 9 each stratum is one block of the 8! permutations
+        # sharing their first symbol
+        assert [block.shape for block in lex_blocks(9)] == [(40320, 9)] * 9
 
-    def test_range_split(self):
-        whole = lex_rows(4)
-        assert lex_rows(4, 0, 8) + lex_rows(4, 8, 24) == whole
-        assert lex_rows(4, 5, 9) == whole[5:9]
+    def test_smallest_n(self):
+        assert lex_rows(1) == lex_rows(1, 0) == [(0,)]
+        assert lex_rows(2) == [(0, 1), (1, 0)]
+        assert lex_rows(2, 0) == [(0, 1)] and lex_rows(2, 1) == [(1, 0)]
 
-    def test_range_crosses_stratum(self):
-        # stratum s of d = 3 holds the ranks [s, s + 1) * 8!
-        lo, hi = 3 * 40320 - 50, 3 * 40320 + 70
-        want = itertools.islice(itertools.permutations(range(9)), lo, hi)
-        assert lex_rows(9, lo, hi) == list(want)
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_strata_make_the_whole_order(self, n):
+        # stratum s holds the (n - 1)! permutations that start with s
+        whole = perms_array(range(n))
+        size = math.factorial(n - 1)
+        strata = [lex_array(n, s) for s in range(n)]
+        for s, stratum in enumerate(strata):
+            assert np.array_equal(stratum, whole[s * size : (s + 1) * size])
+        assert np.array_equal(np.concatenate(strata), whole)
+        assert np.array_equal(lex_array(n), whole)
 
-    def test_d4_crosses_block(self):
-        # d = 4 blocks hold the 8! permutations sharing an 8-symbol prefix
-        count = 40320 + 100
-        want = itertools.islice(itertools.permutations(range(16)), count)
-        assert lex_rows(16, 0, count) == list(want)
-        want = itertools.islice(itertools.permutations(range(16)), 40317, 40323)
-        assert lex_rows(16, 40317, 40323) == list(want)
+    def test_d4_stratum_crosses_block(self):
+        # n = 16 blocks hold the 8! permutations sharing an 8-symbol prefix
+        blocks = list(itertools.islice(lex_blocks(16, 5), 2))
+        assert [block.shape for block in blocks] == [(40320, 16)] * 2
+        others = [s for s in range(16) if s != 5]
+        want = perms_array(others, head=(5,), count=2 * 40320)
+        assert np.array_equal(np.concatenate(blocks), want)
 
-    def test_d4_last_ranks(self):
-        # the last three of 16! permutations end in 1 2 0, 2 0 1, 2 1 0
-        total = math.factorial(16)
-        head = tuple(range(15, 2, -1))
-        want = [head + (1, 2, 0), head + (2, 0, 1), head + (2, 1, 0)]
-        assert lex_rows(16, total - 3, total) == want
-
-    def test_d5_late_range(self):
-        # the last 8! ranks of 25! share the prefix 24 ... 8; the rank before
-        # them ends the block with prefix 24 ... 9 7
-        total = math.factorial(25)
-        lo = total - 40320
-        want = [
-            tuple(range(24, 8, -1)) + (7, 8, 6, 5, 4, 3, 2, 1, 0),
-            tuple(range(24, 7, -1)) + (0, 1, 2, 3, 4, 5, 6, 7),
-            tuple(range(24, 7, -1)) + (0, 1, 2, 3, 4, 5, 7, 6),
-        ]
-        assert lex_rows(25, lo - 1, lo + 2) == want
-        want = [tuple(range(24, 2, -1)) + (2, 0, 1), tuple(range(24, -1, -1))]
-        assert lex_rows(25, total - 2, total) == want
+    def test_d5_last_stratum_first_block(self):
+        # n = 25 blocks hold the 8! permutations sharing a 17-symbol prefix
+        got = lex_array(25, 24, blocks=1)
+        assert got.shape == (40320, 25)
+        assert np.array_equal(got, perms_array(range(24), head=(24,), count=40320))
 
 
 class TestRandomPerm:
