@@ -11,7 +11,6 @@ from permupower import (
     builtin_perm,
     entangling_power,
     identity_perm,
-    rectangle_flags,
     swap_perm,
 )
 
@@ -40,7 +39,14 @@ print("mean more entangling.")
 
 print()
 print("A single rectangle, cell by cell (cnot, rows 1,2 x columns 1,2):")
-flags = rectangle_flags(builtin_perm("cnot"), 1, 2, 1, 2)
-print(f"  column agreements a_ijm={flags.a_ijm} a_ijn={flags.a_ijn}, "
-      f"row agreements b_imn={flags.b_imn} b_jmn={flags.b_jmn} "
-      f"-> preserved: {bool(flags.r_ijmn)}")
+# 0-based rows i, j and columns m, n: P keeps the rectangle when l agrees
+# down both columns and k along both rows
+cnot = builtin_perm("cnot")
+i, j, m, n = 0, 1, 0, 1
+a_ijm = int(cnot.l[i][m] == cnot.l[j][m])
+a_ijn = int(cnot.l[i][n] == cnot.l[j][n])
+b_imn = int(cnot.k[i][m] == cnot.k[i][n])
+b_jmn = int(cnot.k[j][m] == cnot.k[j][n])
+print(f"  column agreements a_ijm={a_ijm} a_ijn={a_ijn}, "
+      f"row agreements b_imn={b_imn} b_jmn={b_jmn} "
+      f"-> preserved: {bool(a_ijm and a_ijn and b_imn and b_jmn)}")

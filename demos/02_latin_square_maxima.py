@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from permupower import (
     UnsupportedOrder,
-    check_block_conditions,
     construct_mols,
     entangling_power,
+    is_latin,
     special_d6_perm,
     superimpose,
 )
@@ -29,10 +29,12 @@ for d in range(2, 13):
         continue
     perm = superimpose(pair)
     report = entangling_power(perm)
-    blocks = check_block_conditions(perm)
+    # the paper's four block conditions on the matrix of P say exactly
+    # that K and L are Latin
+    blocks = is_latin(perm.k) and is_latin(perm.l)
     assert report.epsilon == Fraction(d, d + 1)
     print(f"d={d:2d}  power {str(report.epsilon):>6s}  "
-          f"block conditions all hold: {blocks.all()}")
+          f"block conditions all hold: {blocks}")
 
 print()
 print("The d=3 pair, superimposed (cell = k then l):")

@@ -15,7 +15,6 @@ from .errors import (
     DegenerateDimension,
     DimensionMismatch,
     DimensionTooLarge,
-    IndexOutOfRange,
     InsufficientSamples,
     NotBijection,
     NotOrthogonal,
@@ -38,14 +37,10 @@ from .perm_core import (
     swap_perm,
 )
 from .entangle import (
-    BlockConditions,
     PowerReport,
-    RectangleFlags,
-    check_block_conditions,
     entangling_power,
     epsilon_from_q,
     q_of,
-    rectangle_flags,
 )
 from .oracle import (
     Unitary,

@@ -55,7 +55,7 @@ from .classify import (
     classify_sampled,
     exact_mean,
 )
-from .entangle import check_block_conditions, entangling_power
+from .entangle import entangling_power
 from .errors import (
     BudgetExceeded,
     NotOrthogonal,
@@ -425,8 +425,6 @@ def _verify_theorem4(args: argparse.Namespace, d: int) -> None:
         report.epsilon == Fraction(d, d + 1),
         f"{d}/{d + 1}", str(report.epsilon),
     )
-    blocks = check_block_conditions(perm)
-    _check(f"d={d} block conditions", blocks.all(), "all four", blocks)
 
 
 def _verify_theorem7(args: argparse.Namespace, d: int) -> None:

@@ -28,10 +28,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import IndexOutOfRange
-from .perm_core import (
-    BiPerm, check_dimension_cap, check_power_dimension, compose_with_swap, lines_are_permutations
-)
+from .perm_core import BiPerm, check_dimension_cap, check_power_dimension, compose_with_swap
 
 # Most line-pair cells the batch kernel holds at once.  Every per-tile
 # array of the pairs i < j (cell gathers, match flags, keys, runs) has at
@@ -219,83 +216,3 @@ def entangling_power(perm: BiPerm) -> PowerReport:
     q_p = q_of(perm)
     q_ps = q_of(compose_with_swap(perm))
     return PowerReport(perm.d, q_p, q_ps)
-
-
-@dataclass(frozen=True)
-class RectangleFlags:
-    """Agreement bits for the rectangle spanned by rows i,j and columns m,n."""
-
-    i: int
-    j: int
-    m: int
-    n: int
-    a_ijm: int
-    a_ijn: int
-    b_imn: int
-    b_jmn: int
-    r_ijmn: int
-
-
-def rectangle_flags(perm: BiPerm, i: int, j: int, m: int, n: int) -> RectangleFlags:
-    """Evaluate the four agreement bits and their product for one rectangle."""
-    d = perm.d
-    for name, v in (("i", i), ("j", j), ("m", m), ("n", n)):
-        if not 1 <= v <= d:
-            raise IndexOutOfRange(f"{name} = {v} outside [1, {d}]")
-    k, l = perm.k, perm.l
-    a_ijm = int(l[i - 1][m - 1] == l[j - 1][m - 1])
-    a_ijn = int(l[i - 1][n - 1] == l[j - 1][n - 1])
-    b_imn = int(k[i - 1][m - 1] == k[i - 1][n - 1])
-    b_jmn = int(k[j - 1][m - 1] == k[j - 1][n - 1])
-    return RectangleFlags(
-        i, j, m, n, a_ijm, a_ijn, b_imn, b_jmn, a_ijm * a_ijn * b_imn * b_jmn
-    )
-
-
-@dataclass(frozen=True)
-class BlockConditions:
-    """The four block-structure conditions on the d^2 x d^2 matrix of P.
-
-    Viewing the matrix as d x d blocks of size d x d:
-      one_per_block    every block has exactly one nonzero entry;
-      blocks_distinct  no two blocks are equal as 0/1 matrices;
-      row_subcolumns   nonzeros in a block-row occupy distinct sub-columns;
-      col_subrows      nonzeros in a block-column occupy distinct sub-rows.
-
-    All four hold exactly when the entangling power reaches d/(d+1).
-    """
-
-    one_per_block: bool
-    blocks_distinct: bool
-    row_subcolumns: bool
-    col_subrows: bool
-
-    def all(self) -> bool:
-        return (
-            self.one_per_block
-            and self.blocks_distinct
-            and self.row_subcolumns
-            and self.col_subrows
-        )
-
-
-def check_block_conditions(perm: BiPerm) -> BlockConditions:
-    """Evaluate the four block conditions on the Latin lines of K and L.
-
-    Input cell (i, j) contributes a 1 at matrix position (row (k_ij, l_ij),
-    column (i, j)); block indices are (k_ij, i), in-block position
-    (l_ij, j).  So block (k, i) holds one entry per j with k_ij = k, block
-    row k holds the cells with k_ij = k at sub-columns j, and block column
-    i holds row i of the grid at sub-rows l_ij.  The conditions therefore
-    read: every row of K is a permutation of [d] (one per block), and then
-    every column of L is too (distinct blocks); every column of K is
-    (distinct sub-columns); every row of L is (distinct sub-rows).
-    """
-    d, k, l = perm.d, perm.k, perm.l
-    one_per_block = lines_are_permutations(k, d)
-    return BlockConditions(
-        one_per_block=one_per_block,
-        blocks_distinct=one_per_block and lines_are_permutations(zip(*l), d),
-        row_subcolumns=lines_are_permutations(zip(*k), d),
-        col_subrows=lines_are_permutations(l, d),
-    )

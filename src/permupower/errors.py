@@ -25,10 +25,6 @@ class DegenerateDimension(PermupowerError):
     """Operation undefined at d = 1."""
 
 
-class IndexOutOfRange(PermupowerError):
-    """A cell index lies outside [1, d]."""
-
-
 class NotUnitary(PermupowerError):
     """Matrix fails the unitarity check."""
 

@@ -147,6 +147,9 @@ def read_int_line(line: str, count: int, where: str, high: int | None = None) ->
     values = []
     for pos, tok in enumerate(tokens, start=1):
         try:
+            # plain decimal only: int alone also takes "+4", "1_0" and "٤"
+            if not (tok.isascii() and tok.lstrip("-").isdigit()):
+                raise ValueError(tok)
             values.append(int(tok))
         except ValueError:
             raise ParseError(f"{where}, token {pos}: {tok!r} is not an integer") from None
@@ -313,10 +316,14 @@ def _header_dimension(header: str) -> int:
     header = header.strip()
     if not header.startswith("d="):
         raise ParseError("line 1: expected 'd=<integer>'")
+    text = header[2:]
     try:
-        d = int(header[2:])
+        # plain decimal only, as in read_int_line
+        if not (text.isascii() and text.lstrip("-").isdigit()):
+            raise ValueError(text)
+        d = int(text)
     except ValueError:
-        raise ParseError(f"line 1: malformed dimension {header[2:]!r}") from None
+        raise ParseError(f"line 1: malformed dimension {text!r}") from None
     if d < 1:
         raise ParseError(f"line 1: dimension must be positive, got {d}")
     return d

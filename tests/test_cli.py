@@ -101,6 +101,23 @@ class TestPower:
         assert code == 2
         assert "duplicate" in err
 
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("d=2\n1 2 3 +4\n", "'+4'"),
+            ("d=2\n1 2 3 ٤\n", "'٤'"),
+            ("d=4\n" + " ".join("1_0" if v == 10 else str(v) for v in range(1, 17)), "'1_0'"),
+            ("d=1_0\n" + " ".join(map(str, range(1, 101))), "'1_0'"),
+        ],
+        ids=["plus", "arabic-indic", "underscore", "underscore-header"],
+    )
+    def test_non_decimal_token_exit_2(self, capsys, tmp_path, text, token):
+        path = tmp_path / "perm.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["power", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and token in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(["power", "--file", str(tmp_path / "nope")], capsys)
         assert code == 2

@@ -11,28 +11,26 @@ from hypothesis import strategies as st
 
 from permupower import (
     BiPerm,
-    BlockConditions,
     DegenerateDimension,
     DimensionTooLarge,
-    IndexOutOfRange,
     PowerReport,
     biperm_from_flat,
     biperm_to_flat,
-    check_block_conditions,
     compose_with_swap,
     construct_mols,
     entangling_power,
     epsilon_from_q,
     identity_perm,
+    is_latin,
     min_nonzero_perm,
     q_of,
-    rectangle_flags,
     superimpose,
     swap_perm,
 )
 from permupower import entangle
 from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
+from permupower.perm_core import lines_are_permutations
 
 from conftest import all_biperms, local_rows, random_biperms
 
@@ -66,12 +64,21 @@ def scalar_totals(perms) -> list[int]:
     return [q_of(perm) + q_of(compose_with_swap(perm)) for perm in perms]
 
 
-def block_conditions_from_matrix(perm: BiPerm) -> BlockConditions:
-    """The four block conditions read off the d^2 x d^2 0/1 matrix of P.
+def block_conditions_from_matrix(perm: BiPerm) -> tuple[bool, bool, bool, bool]:
+    """The paper's four block conditions on the d^2 x d^2 0/1 matrix of P.
 
     P|i j> = |k_ij l_ij>, so the matrix has a 1 at row (k_ij, l_ij) and
     column (i, j), and blocks[a, b] is its d x d block at block row a,
-    block column b.
+    block column b.  In order, the conditions are: every block has exactly
+    one nonzero entry; no two blocks are equal; the nonzeros of a block row
+    lie in distinct sub-columns; those of a block column in distinct
+    sub-rows.
+
+    Block (k, i) holds one entry per j with k_ij = k, block row k holds the
+    cells with k_ij = k at sub-columns j, and block column i holds row i of
+    the grid at sub-rows l_ij.  So the four read: the rows of K are
+    permutations of [d]; then so are the columns of L; the columns of K
+    are; the rows of L are.  All four hold exactly when K and L are Latin.
     """
     d = perm.d
     matrix = np.zeros((d * d, d * d), dtype=np.int8)
@@ -82,12 +89,11 @@ def block_conditions_from_matrix(perm: BiPerm) -> BlockConditions:
     # nonzero positions (block, sub-row, sub-column) within a block row / column
     row_hits = [np.nonzero(blocks[a])[2] for a in range(d)]
     col_hits = [np.nonzero(blocks[:, b])[1] for b in range(d)]
-    return BlockConditions(
-        one_per_block=bool((blocks.sum(axis=(2, 3)) == 1).all()),
-        blocks_distinct=len({blocks[a, b].tobytes() for a in range(d) for b in range(d)})
-        == d * d,
-        row_subcolumns=all(len(set(h.tolist())) == len(h) for h in row_hits),
-        col_subrows=all(len(set(h.tolist())) == len(h) for h in col_hits),
+    return (
+        bool((blocks.sum(axis=(2, 3)) == 1).all()),
+        len({blocks[a, b].tobytes() for a in range(d) for b in range(d)}) == d * d,
+        all(len(set(h.tolist())) == len(h) for h in row_hits),
+        all(len(set(h.tolist())) == len(h) for h in col_hits),
     )
 
 
@@ -434,75 +440,32 @@ class TestInvariance:
         assert entangling_power(other).epsilon == entangling_power(perm).epsilon
 
 
-class TestRectangleFlags:
-    def test_identity_all_ones(self):
-        perm = identity_perm(3)
-        for quad in ((1, 2, 1, 3), (2, 2, 2, 2), (1, 3, 2, 3)):
-            flags = rectangle_flags(perm, *quad)
-            assert (flags.a_ijm, flags.a_ijn, flags.b_imn, flags.b_jmn) == (1, 1, 1, 1)
-            assert flags.r_ijmn == 1
-
-    def test_swap_proper_rectangles_vanish(self):
-        perm = swap_perm(3)
-        assert rectangle_flags(perm, 1, 2, 1, 3).r_ijmn == 0
-
-    def test_degenerate_cell_always_one(self):
-        for perm in random_biperms(7, 3, 10):
-            assert rectangle_flags(perm, 2, 2, 3, 3).r_ijmn == 1
-
-    def test_sum_matches_q(self):
-        for d in (2, 3):
-            for perm in random_biperms(70 + d, d, 10):
-                total = sum(
-                    rectangle_flags(perm, i, j, m, n).r_ijmn
-                    for i in range(1, d + 1)
-                    for j in range(1, d + 1)
-                    for m in range(1, d + 1)
-                    for n in range(1, d + 1)
-                )
-                assert total == q_of(perm)
-
-    def test_symmetries(self):
-        for perm in random_biperms(77, 3, 10):
-            for i, j, m, n in ((1, 2, 1, 3), (1, 3, 2, 3), (2, 3, 1, 2)):
-                r = rectangle_flags(perm, i, j, m, n).r_ijmn
-                assert r == rectangle_flags(perm, j, i, m, n).r_ijmn
-                assert r == rectangle_flags(perm, i, j, n, m).r_ijmn
-                assert r == rectangle_flags(perm, j, i, n, m).r_ijmn
-
-    def test_index_check(self):
-        with pytest.raises(IndexOutOfRange):
-            rectangle_flags(identity_perm(3), 1, 2, 0, 3)
-        with pytest.raises(IndexOutOfRange):
-            rectangle_flags(identity_perm(3), 1, 2, 1, 4)
-
-
 class TestBlockConditions:
+    """The block conditions on the matrix of P hold exactly when K and L are
+    Latin, and exactly when eps = d/(d+1)."""
+
     def test_r9_all_true(self):
-        assert check_block_conditions(builtin_perm("r9")).all()
+        perm = builtin_perm("r9")
+        assert all(block_conditions_from_matrix(perm))
+        assert is_latin(perm.k) and is_latin(perm.l)
 
     def test_identity(self):
-        cond = check_block_conditions(identity_perm(3))
-        assert not cond.one_per_block
-        assert not cond.blocks_distinct
-        assert cond.row_subcolumns and cond.col_subrows
+        assert block_conditions_from_matrix(identity_perm(3)) == (False, False, True, True)
 
     def test_swap(self):
-        cond = check_block_conditions(swap_perm(3))
-        assert cond.one_per_block and cond.blocks_distinct
-        assert not cond.row_subcolumns
-        assert not cond.col_subrows
+        assert block_conditions_from_matrix(swap_perm(3)) == (True, True, False, False)
 
     def test_equivalence_with_maximum_d2(self):
-        # no d=2 permutation reaches 2/3, so all-four never holds
+        # no d=2 permutation reaches 2/3, so all four never hold
         for perm in all_biperms(2):
-            assert not check_block_conditions(perm).all()
+            assert not all(block_conditions_from_matrix(perm))
+            assert not (is_latin(perm.k) and is_latin(perm.l))
 
     def test_equivalence_on_constructions(self):
         for d in (3, 4, 5, 7):
             perm = superimpose(construct_mols(d))
             assert entangling_power(perm).epsilon == Fraction(d, d + 1)
-            assert check_block_conditions(perm).all()
+            assert all(block_conditions_from_matrix(perm))
 
     def test_matches_matrix_reference(self):
         cases = {2: list(all_biperms(2)), 3: random_biperms(303, 3, 2000)}
@@ -517,13 +480,21 @@ class TestBlockConditions:
             # the conditions hold exactly when eps = d/(d+1), Q_P + Q_PS = 2d^2
             maximal = (q_totals_batch(flat_batch(perms), d) == 2 * d * d).tolist()
             for perm, top in zip(perms, maximal):
-                cond = check_block_conditions(perm)
-                assert cond == block_conditions_from_matrix(perm)
-                assert cond.all() == top
+                conditions = block_conditions_from_matrix(perm)
+                rows_k = lines_are_permutations(perm.k, d)
+                # each condition as the reference's docstring reads it off the lines
+                assert conditions == (
+                    rows_k,
+                    rows_k and lines_are_permutations(zip(*perm.l), d),
+                    lines_are_permutations(zip(*perm.k), d),
+                    lines_are_permutations(perm.l, d),
+                )
+                latin = is_latin(perm.k) and is_latin(perm.l)
+                assert all(conditions) == latin == top
 
     def test_random_perms_match_threshold(self):
         for d in (3, 4):
             top = Fraction(d, d + 1)
             for perm in random_biperms(30 + d, d, 40):
                 reaches = entangling_power(perm).epsilon == top
-                assert check_block_conditions(perm).all() == reaches
+                assert (is_latin(perm.k) and is_latin(perm.l)) == reaches

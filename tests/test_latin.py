@@ -12,7 +12,6 @@ from permupower import (
     ParseError,
     UnsupportedOrder,
     are_orthogonal,
-    check_block_conditions,
     construct_mols,
     entangling_power,
     is_latin,
@@ -129,7 +128,7 @@ class TestConstructMols:
         assert are_orthogonal(first, second)
         perm = superimpose(pair)
         assert entangling_power(perm).epsilon == Fraction(d, d + 1)
-        assert check_block_conditions(perm).all()
+        assert is_latin(perm.k) and is_latin(perm.l)
 
     @pytest.mark.parametrize("d", [2, 6, 10])
     def test_unsupported_set(self, d):
@@ -273,6 +272,8 @@ class TestSerialization:
             ("", "expected 2 squares"),
             ("1 2\n2 1", "expected 2 squares"),
             ("1 2\n2 1\n\n1 2\n2 x", "token 2"),
+            # plain decimal tokens only
+            ("1 2\n2 1\n\n1 2\n2 +1", "^line 5, token 2: '\\+1' is not an integer$"),
             # lines are numbered as in the file, blank ones included
             ("\n1 2\n2 x\n\n1 2\n2 1", "^line 3, token 2"),
             ("1 2\n2 1\n\n\n1 2\n2 x", "^line 6, token 2"),

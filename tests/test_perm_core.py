@@ -356,6 +356,15 @@ class TestSerialization:
             ("d=0\n1", "positive"),
             ("d=2\n1 2 3", "expected 4 values"),
             ("d=2\n1 2 3 five", "token 4"),
+            # plain decimal only: int() alone reads "+4", "\u0664" (Arabic-Indic
+            # four) and "1_0" as 4, 4 and 10, which made these valid
+            ("d=2\n1 2 3 +4", "line 2, token 4: '\\+4' is not an integer"),
+            ("d=2\n1 2 3 \u0664", "line 2, token 4: '\u0664' is not an integer"),
+            ("d=4\n" + " ".join("1_0" if v == 10 else str(v) for v in range(1, 17)),
+             "line 2, token 10: '1_0' is not an integer"),
+            ("d=1_0\n" + " ".join(map(str, range(1, 101))),
+             "line 1: malformed dimension '1_0'"),
+            ("d=+2\n1 2 3 4", "line 1: malformed dimension '\\+2'"),
             ("d=2\n1 2 3 9", "token 4"),
             ("d=2\n1 2 2 3", "duplicate"),
         ],

@@ -10,19 +10,19 @@ import permupower
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
-    "BiPerm", "BlockConditions", "BudgetExceeded", "ClassHistogram",
+    "BiPerm", "BudgetExceeded", "ClassHistogram",
     "DegenerateDimension", "DimensionMismatch", "DimensionTooLarge",
-    "IndexOutOfRange", "InsufficientSamples",
+    "InsufficientSamples",
     "NotBijection", "NotOrthogonal", "NotUnitary",
     "ParameterOrderViolation", "ParseError", "PermupowerError", "PowerReport",
-    "RectangleFlags", "Unitary",
+    "Unitary",
     "UnsupportedOrder", "are_orthogonal", "biperm_from_flat",
-    "biperm_to_flat", "builtin_perm", "check_block_conditions", "class_bound",
+    "biperm_to_flat", "builtin_perm", "class_bound",
     "classify_exhaustive", "classify_sampled", "compose_with_swap", "construct_mols",
     "e0_stats", "entangling_power", "epsilon_from_q", "exact_mean",
     "format_biperm", "identity_perm", "is_latin", "mc_power", "min_nonzero_perm",
     "oracle_power", "parse_biperm", "q_of", "random_perm",
-    "rectangle_flags", "rezakhani_power", "special_d6_perm", "split_entropies",
+    "rezakhani_power", "special_d6_perm", "split_entropies",
     "superimpose", "swap_perm", "unitary_of",
 ]
 
