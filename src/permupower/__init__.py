@@ -12,14 +12,7 @@ from types import ModuleType as _ModuleType
 
 from .errors import (
     BudgetExceeded,
-    DegenerateDimension,
-    DimensionMismatch,
-    DimensionTooLarge,
-    InsufficientSamples,
-    NotBijection,
     NotOrthogonal,
-    NotUnitary,
-    ParameterOrderViolation,
     ParseError,
     PermupowerError,
     UnsupportedOrder,

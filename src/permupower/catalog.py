@@ -10,7 +10,7 @@ from .errors import ParseError
 from .latin import construct_mols, special_d6_perm, superimpose
 from .perm_core import (
     BiPerm, biperm_from_flat, check_dimension_cap, check_power_dimension, identity_perm,
-    min_nonzero_perm, swap_perm,
+    min_nonzero_perm, plain_int, swap_perm,
 )
 
 # d=2 controlled-not: |i j> -> |i, j + i - 1 mod 2>, flat one-line form.
@@ -61,7 +61,7 @@ def builtin_perm(name: str, d: int | None = None) -> BiPerm:
         return build()
     if kind == "own":
         try:
-            d = int(tail)
+            d = plain_int(tail)
         except ValueError:
             raise ParseError(f"builtin {name!r}: {tail!r} is not an integer") from None
     elif d is None:

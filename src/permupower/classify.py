@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import BudgetExceeded, InsufficientSamples
+from .errors import BudgetExceeded, PermupowerError
 from .perm_core import check_power_dimension, lex_blocks, random_blocks
 from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
 
@@ -309,9 +309,9 @@ def classify_sampled(
     """
     check_power_dimension(d)
     if samples < 2:
-        raise InsufficientSamples("need at least 2 samples")
+        raise PermupowerError("need at least 2 samples")
     if not 0 <= seed < SEED_BOUND:
-        raise ValueError(f"seed {seed} outside [0, 2**32)")
+        raise PermupowerError(f"seed {seed} outside [0, 2**32)")
     chunks = (
         (d, seed, index, min(SAMPLE_CHUNK, samples - start))
         for index, start in enumerate(range(0, samples, SAMPLE_CHUNK))

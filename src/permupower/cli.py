@@ -12,7 +12,8 @@ Exit codes:
      cap of 215 (checked first)
   2  unparsable input: a malformed, unreadable or non-UTF-8 file, an
      unknown builtin, or a bad argument (`--seed` outside [0, 2^32);
-     `--d`, `--workers`, `--count` or `verify --samples` below 1; a
+     `--d`, `--workers`, `--count` or `verify --samples` below 1; an
+     integer argument that is not plain decimal, e.g. `--d +4`; a
      `power --d` other than the permutation's d; a flag the command does
      not take, such as `--format` outside `power` and `classify`, `--seed`
      or `--workers` on `mols`, `--workers` on `sample`, `--out` on
@@ -74,7 +75,7 @@ from .latin import (
 from .oracle import COMPARISON_TOL, check_oracle_dimension, mc_power, oracle_power, unitary_of
 from .perm_core import (
     check_dimension_cap, check_power_dimension, format_biperm, format_flat, parse_biperm,
-    random_blocks, random_perm,
+    plain_int, random_blocks, random_perm,
 )
 
 # Fixed default seed: bare invocations are reproducible by construction.
@@ -101,15 +102,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {message}\n")
 
 
-def _int_at_least(low: int, below: int | None = None):
-    """argparse type: an integer no smaller than `low` (and below `below`)."""
+def _int_at_least(low: int | None, below: int | None = None):
+    """argparse type: a plain decimal integer, at least `low` and below `below` if set."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = plain_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if below is not None and value >= below:
             raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
@@ -159,10 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(run=cmd_classify)
     mode = p_cls.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true", help="all d^2! permutations")
-    mode.add_argument("--samples", type=int, help="number of random permutations")
+    mode.add_argument(
+        "--samples", type=_int_at_least(None), help="number of random permutations"
+    )
     p_cls.add_argument(
         "--checkpoint-dir", type=Path, default=None,
-        help="persist per-range partial histograms and resume from them",
+        help="persist per-stratum partial histograms and resume from them",
     )
     p_cls.add_argument(
         "--force", action="store_true", help="override the exhaustive enumeration budget"

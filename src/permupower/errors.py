@@ -1,49 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per CLI exit code, two for
+exit 3.  Errors of one class are told apart by their messages."""
 
 
 class PermupowerError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DimensionMismatch(PermupowerError):
-    """A flat permutation's length is not the required d*d."""
-
-
-class NotBijection(PermupowerError):
-    """An image array repeats or omits values."""
+    """Exit 1: base class of every package error, raised as itself for an
+    invalid request that no subclass names: a grid or flat image that is no
+    bijection of [d]^2, d < 2 for a power, d above the cap of 215, a matrix
+    that is not unitary, fewer than 2 samples, a seed outside [0, 2^32), or
+    angles outside the canonical two-qubit chamber."""
 
 
 class BudgetExceeded(PermupowerError):
-    """The requested computation is outside the enumeration budget."""
-
-
-class DimensionTooLarge(PermupowerError):
-    """Local dimension above the supported cap."""
-
-
-class DegenerateDimension(PermupowerError):
-    """Operation undefined at d = 1."""
-
-
-class NotUnitary(PermupowerError):
-    """Matrix fails the unitarity check."""
-
-
-class InsufficientSamples(PermupowerError):
-    """Too few samples for the requested estimate."""
-
-
-class ParameterOrderViolation(PermupowerError):
-    """Canonical parameters violate |c3| <= c2 <= c1 <= pi/4."""
+    """Exit 4: the exhaustive enumeration budget, the dense oracle's cap of
+    d <= 12, or a side with no reference census."""
 
 
 class NotOrthogonal(PermupowerError):
-    """Two Latin squares are not an orthogonal pair."""
+    """Exit 3: two Latin squares are not an orthogonal pair."""
 
 
 class UnsupportedOrder(PermupowerError):
-    """No orthogonal Latin pair construction for this side."""
+    """Exit 3: no orthogonal Latin pair construction for this side, or a
+    pair file whose side is not the one requested."""
 
 
 class ParseError(PermupowerError):
-    """Malformed text input; message carries the position."""
+    """Exit 2: malformed text input; the message carries the position."""

@@ -24,12 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    InsufficientSamples,
-    NotUnitary,
-    ParameterOrderViolation,
-)
+from .errors import BudgetExceeded, PermupowerError
 from .perm_core import BiPerm, biperm_to_flat, check_power_dimension
 
 COMPARISON_TOL = 1e-10  # value comparisons (formula vs oracle, entropies)
@@ -77,10 +72,10 @@ class Unitary:
         matrix = np.asarray(matrix, dtype=complex)
         n = d * d
         if matrix.shape != (n, n):
-            raise NotUnitary(f"shape {matrix.shape}, expected ({n}, {n})")
+            raise PermupowerError(f"shape {matrix.shape}, expected ({n}, {n})")
         dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(n)))
         if dev > STRUCTURE_TOL:
-            raise NotUnitary(f"U^dag U deviates from identity by {dev:.2e}")
+            raise PermupowerError(f"U^dag U deviates from identity by {dev:.2e}")
         self.d = d
         self.matrix = matrix.copy()
         self.matrix.setflags(write=False)
@@ -111,7 +106,7 @@ def unitary_of(perm: BiPerm) -> Unitary:
     rows = np.array(biperm_to_flat(perm)) - 1
     counts = np.bincount(rows, minlength=n)
     if counts.size != n or not (counts == 1).all():
-        raise NotUnitary("image cells do not cover every basis state once")
+        raise PermupowerError("image cells do not cover every basis state once")
     m = np.zeros((n, n), dtype=complex)
     m[rows, np.arange(n)] = 1.0
     return Unitary._trusted(d, m)
@@ -179,7 +174,7 @@ def mc_power(u: Unitary, samples: int, seed: int) -> tuple[float, float]:
     import numpy as np
 
     if samples < 2:
-        raise InsufficientSamples("need at least 2 samples for a standard error")
+        raise PermupowerError("need at least 2 samples for a standard error")
     d = u.d
     n = d * d
     tile = max(1, MC_TILE_CELLS // n)
@@ -216,8 +211,6 @@ def rezakhani_power(c1: float, c2: float, c3: float) -> float:
     1/3 - (1/9) [cos4c1 cos4c2 + cos4c1 cos4c3 + cos4c2 cos4c3].
     """
     if not (abs(c3) <= c2 + 1e-15 and c2 <= c1 + 1e-15 and c1 <= math.pi / 4 + 1e-15):
-        raise ParameterOrderViolation(
-            f"need |c3| <= c2 <= c1 <= pi/4, got ({c1}, {c2}, {c3})"
-        )
+        raise PermupowerError(f"need |c3| <= c2 <= c1 <= pi/4, got ({c1}, {c2}, {c3})")
     f1, f2, f3 = math.cos(4 * c1), math.cos(4 * c2), math.cos(4 * c3)
     return 1.0 / 3.0 - (f1 * f2 + f1 * f3 + f2 * f3) / 9.0

@@ -35,9 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import (
-    DegenerateDimension, DimensionMismatch, DimensionTooLarge, NotBijection, ParseError
-)
+from .errors import ParseError, PermupowerError
 
 # Supported range of d, the largest d with d^4 < 2^31.  No count overflows
 # above it (q_of sums Python integers, the batch kernel sums in int64), but
@@ -59,15 +57,15 @@ class BiPerm:
         l = tuple(tuple(int(v) for v in row) for row in l)
         d = len(k)
         if len(l) != d or any(len(r) != d for r in k) or any(len(r) != d for r in l):
-            raise DimensionMismatch("k and l must both be d x d")
+            raise PermupowerError("k and l must both be d x d")
         ks, ls = row_major(k), row_major(l)
         if not pairs_cover_grid(ks, ls, d):
             for t, (ki, li) in enumerate(zip(ks, ls)):
                 if not (1 <= ki <= d and 1 <= li <= d):
-                    raise NotBijection(
+                    raise PermupowerError(
                         f"cell ({t // d + 1},{t % d + 1}) -> ({ki},{li}) outside [1,{d}]^2"
                     )
-            raise NotBijection("image pairs repeat; not a bijection of the grid")
+            raise PermupowerError("image pairs repeat; not a bijection of the grid")
         self.d = d
         self.k = k
         self.l = l
@@ -97,15 +95,15 @@ class BiPerm:
 
 
 def check_dimension_cap(d: int) -> None:
-    """Raise DimensionTooLarge when d exceeds MAX_DIMENSION."""
+    """Raise PermupowerError when d exceeds MAX_DIMENSION."""
     if d > MAX_DIMENSION:
-        raise DimensionTooLarge(f"d = {d} exceeds the supported cap {MAX_DIMENSION}")
+        raise PermupowerError(f"d = {d} exceeds the supported cap {MAX_DIMENSION}")
 
 
 def check_power_dimension(d: int) -> None:
     """Raise unless entangling_power accepts dimension d: 2 <= d <= MAX_DIMENSION."""
     if d < 2:
-        raise DegenerateDimension("entangling power needs d >= 2")
+        raise PermupowerError("entangling power needs d >= 2")
     check_dimension_cap(d)
 
 
@@ -136,6 +134,14 @@ def pairs_cover_grid(ks: Sequence[int], ls: Sequence[int], d: int) -> bool:
     return len(codes) == d * d == len(ks) == len(ls) and {*ks, *ls} <= set(range(1, d + 1))
 
 
+def plain_int(text: str) -> int:
+    """`text` as an int if it is plain decimal ('-'? and ASCII digits), else
+    ValueError; int alone also takes "+4", "1_0" and "٤"."""
+    if not (text.isascii() and text.lstrip("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def read_int_line(line: str, count: int, where: str, high: int | None = None) -> list[int]:
     """The `count` integers on a text line, each in [1, high] if `high` is set.
 
@@ -147,10 +153,7 @@ def read_int_line(line: str, count: int, where: str, high: int | None = None) ->
     values = []
     for pos, tok in enumerate(tokens, start=1):
         try:
-            # plain decimal only: int alone also takes "+4", "1_0" and "٤"
-            if not (tok.isascii() and tok.lstrip("-").isdigit()):
-                raise ValueError(tok)
-            values.append(int(tok))
+            values.append(plain_int(tok))
         except ValueError:
             raise ParseError(f"{where}, token {pos}: {tok!r} is not an integer") from None
         if high is not None and not 1 <= values[-1] <= high:
@@ -161,21 +164,20 @@ def read_int_line(line: str, count: int, where: str, high: int | None = None) ->
 def biperm_from_flat(image: Sequence[int], d: int) -> BiPerm:
     """Reshape a flat permutation of [d^2] (1-based images) into the (K, L) pair.
 
-    Raises DimensionMismatch unless the image has d^2 entries, and
-    NotBijection, naming the first offending token, unless it is a
-    bijection of [d^2].
+    Raises PermupowerError unless the image has d^2 entries and is a
+    bijection of [d^2]; the bijection error names the first offending token.
     """
     image = tuple(map(int, image))
     n = d * d
     if len(image) != n:
-        raise DimensionMismatch(f"flat permutation has length {len(image)}, need d^2 = {n}")
+        raise PermupowerError(f"flat permutation has length {len(image)}, need d^2 = {n}")
     if sorted(image) != list(range(1, n + 1)):
         seen = set()
         for pos, v in enumerate(image, start=1):
             if not 1 <= v <= n:
-                raise NotBijection(f"token {pos}: value {v} outside [1, {n}]")
+                raise PermupowerError(f"token {pos}: value {v} outside [1, {n}]")
             if v in seen:
-                raise NotBijection(f"token {pos}: duplicate value {v}")
+                raise PermupowerError(f"token {pos}: duplicate value {v}")
             seen.add(v)
     k = tuple(zip(*[iter([(v - 1) // d + 1 for v in image])] * d))
     l = tuple(zip(*[iter([(v - 1) % d + 1 for v in image])] * d))
@@ -318,10 +320,7 @@ def _header_dimension(header: str) -> int:
         raise ParseError("line 1: expected 'd=<integer>'")
     text = header[2:]
     try:
-        # plain decimal only, as in read_int_line
-        if not (text.isascii() and text.lstrip("-").isdigit()):
-            raise ValueError(text)
-        d = int(text)
+        d = plain_int(text)
     except ValueError:
         raise ParseError(f"line 1: malformed dimension {text!r}") from None
     if d < 1:
@@ -334,7 +333,7 @@ def parse_biperm(text: str | Iterable[str]) -> BiPerm:
 
     `text` is the form itself or its lines, such as an open file, which is
     read no further than the second non-empty line.  A header d above
-    MAX_DIMENSION raises DimensionTooLarge before line 2 is read.
+    MAX_DIMENSION raises PermupowerError before line 2 is read.
     """
     chunks = [text] if isinstance(text, str) else text
     # each chunk is split as the whole text would be: str.splitlines also
@@ -352,5 +351,5 @@ def parse_biperm(text: str | Iterable[str]) -> BiPerm:
     image = read_int_line(body, d * d, "line 2")
     try:
         return biperm_from_flat(image, d)
-    except NotBijection as exc:
+    except PermupowerError as exc:
         raise ParseError(f"line 2, {exc}") from None

@@ -1,10 +1,11 @@
 """Named permutation registry: embedded data matches known powers."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from permupower import DimensionTooLarge, ParseError, compose_with_swap, entangling_power
+from permupower import ParseError, PermupowerError, compose_with_swap, entangling_power
 from permupower.catalog import builtin_perm
 
 
@@ -35,15 +36,17 @@ def test_identity_swap_need_dimension():
 
 @pytest.mark.parametrize("name,d", [("identity", 1000), ("swap", 216), ("mols:218", None)])
 def test_cap_checked_first(name, d):
-    with pytest.raises(DimensionTooLarge, match="cap 215"):
+    with pytest.raises(PermupowerError, match="cap 215"):
         builtin_perm(name, d)
 
 
 def test_bad_names():
     with pytest.raises(ParseError):
         builtin_perm("nope")
-    with pytest.raises(ParseError):
-        builtin_perm("min:x")
+    for tail in ("x", "+5", "1_0", "٤"):
+        message = f"builtin 'min:{tail}': '{tail}' is not an integer"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            builtin_perm(f"min:{tail}")
     with pytest.raises(ParseError):
         builtin_perm("mols:0")
     with pytest.raises(ParseError, match="dimension must be positive"):

@@ -154,6 +154,10 @@ class TestPower:
     def test_unknown_builtin_exit_2(self, capsys):
         code, _, err = run(["power", "--builtin", "wat"], capsys)
         assert code == 2 and "unknown builtin" in err
+        for tail in ("+5", "1_0"):
+            code, out, err = run(["power", "--builtin", f"min:{tail}"], capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: builtin 'min:{tail}': '{tail}' is not an integer\n"
 
     def test_unknown_builtin_lists_every_name(self, capsys):
         code, _, err = run(["power", "--builtin", "wat"], capsys)
@@ -549,7 +553,14 @@ class TestArgumentBoundary:
         assert "--samples" in self.rejected(argv, capsys)
 
     def test_non_integer_dimension(self, capsys):
-        assert "invalid int value" in self.rejected(["sample", "--d", "x"], capsys)
+        # integers are plain decimal, as in files: int alone takes "+4", "1_0" and "٤"
+        for token in ("x", "+4", "1_0", "٤"):
+            err = self.rejected(["sample", "--d", token], capsys)
+            assert f"argument --d: invalid int value: {token!r}" in err
+            err = self.rejected(["power", "--builtin", "identity", "--d", token], capsys)
+            assert f"argument --d: invalid int value: {token!r}" in err
+        err = self.rejected(["classify", "--d", "2", "--samples", "1_000"], capsys)
+        assert "argument --samples: invalid int value: '1_000'" in err
 
     def test_classify_text_format(self, capsys, tmp_path):
         argv = ["classify", "--d", "2", "--exhaustive", "--format", "text",

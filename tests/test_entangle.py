@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from permupower import (
     BiPerm,
-    DegenerateDimension,
-    DimensionTooLarge,
+    PermupowerError,
     PowerReport,
     biperm_from_flat,
     biperm_to_flat,
@@ -346,7 +345,7 @@ class TestQOf:
                 assert (q_of(perm) == d * d) == (rows_ok and cols_ok)
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(PermupowerError, match="^d = 216 exceeds the supported cap 215$"):
             q_of(identity_perm(216))
 
 
@@ -380,7 +379,7 @@ class TestEntanglingPower:
                 assert 0 <= entangling_power(perm).epsilon <= top
 
     def test_degenerate_dimension(self):
-        with pytest.raises(DegenerateDimension):
+        with pytest.raises(PermupowerError, match="^entangling power needs d >= 2$"):
             entangling_power(identity_perm(1))
 
     def test_report_epsilon_from_counts(self):

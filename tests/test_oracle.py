@@ -15,10 +15,7 @@ import pytest
 
 from permupower import (
     BudgetExceeded,
-    DegenerateDimension,
-    InsufficientSamples,
-    NotUnitary,
-    ParameterOrderViolation,
+    PermupowerError,
     Unitary,
     entangling_power,
     identity_perm,
@@ -150,14 +147,21 @@ class TestStateOfUnitary:
             assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_not_unitary_rejected(self):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(PermupowerError, match=r"^U\^dag U deviates from identity by "):
             Unitary(2, np.ones((4, 4)))
 
-    @pytest.mark.parametrize("d,error", [(13, BudgetExceeded), (1, DegenerateDimension)])
-    def test_oracle_dimension_cap(self, d, error):
-        with pytest.raises(error):
+    @pytest.mark.parametrize(
+        "d,error,message",
+        [
+            (13, BudgetExceeded, "^dense oracle capped at d <= 12$"),
+            (1, PermupowerError, "^entangling power needs d >= 2$"),
+        ],
+        ids=["13-BudgetExceeded", "1-PermupowerError"],
+    )
+    def test_oracle_dimension_cap(self, d, error, message):
+        with pytest.raises(error, match=message):
             Unitary(d, np.eye(d * d))
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             unitary_of(identity_perm(d))
 
 
@@ -237,7 +241,7 @@ class TestMonteCarlo:
         assert mc_power(u, 5000, seed=3) == mc_power(u, 5000, seed=3)
 
     def test_sample_floor(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(PermupowerError, match="^need at least 2 samples for a standard"):
             mc_power(unitary_of(builtin_perm("cnot")), 1, seed=0)
 
     def test_tracks_oracle_on_random_perms(self):
@@ -298,9 +302,10 @@ class TestRezakhani:
         assert rezakhani_power(q, 0, 0) == pytest.approx(4 / 9, abs=1e-12)
 
     def test_order_enforced(self):
-        with pytest.raises(ParameterOrderViolation):
+        chamber = r"^need \|c3\| <= c2 <= c1 <= pi/4, got "
+        with pytest.raises(PermupowerError, match=chamber + r"\(0\.1, 0\.5, 0\.0\)$"):
             rezakhani_power(0.1, 0.5, 0.0)
-        with pytest.raises(ParameterOrderViolation):
+        with pytest.raises(PermupowerError, match=chamber + r"\(1\.0, 0\.5, 0\.0\)$"):
             rezakhani_power(1.0, 0.5, 0.0)
 
     def test_matches_mc_for_cnot_point(self):
@@ -364,7 +369,7 @@ class TestPermutationUnitaries:
         # an unvalidated grid that sends two cells to (1, 1)
         k = ((1, 1), (2, 2))
         l = ((1, 1), (1, 2))
-        with pytest.raises(NotUnitary):
+        with pytest.raises(PermupowerError, match="^image cells do not cover every basis state"):
             unitary_of(BiPerm._trusted(2, k, l))
 
 

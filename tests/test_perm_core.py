@@ -3,16 +3,15 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from permupower import (
     BiPerm,
-    DimensionMismatch,
-    DimensionTooLarge,
-    NotBijection,
     ParseError,
+    PermupowerError,
     are_orthogonal,
     biperm_from_flat,
     biperm_to_flat,
@@ -48,19 +47,19 @@ class TestBiPermFromFlat:
         assert p == swap_perm(2)
 
     def test_wrong_length(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(PermupowerError, match=r"^flat permutation has length 4, need d\^2"):
             biperm_from_flat((1, 2, 3, 4), 3)
 
     def test_repeats_rejected(self):
-        with pytest.raises(NotBijection):
+        with pytest.raises(PermupowerError, match="^token 2: duplicate value 1$"):
             biperm_from_flat((1, 1, 3, 4), 2)
-        with pytest.raises(NotBijection):
+        with pytest.raises(PermupowerError, match="^token 3: duplicate value 2$"):
             biperm_from_flat((1, 2, 2, 4), 2)
 
     def test_biperm_validation(self):
-        with pytest.raises(NotBijection):
+        with pytest.raises(PermupowerError, match="^image pairs repeat; not a bijection"):
             BiPerm(((1, 1), (1, 2)), ((1, 1), (2, 2)))  # image (1,1) repeats
-        with pytest.raises(NotBijection):
+        with pytest.raises(PermupowerError, match=r"^cell \(2,2\) -> \(5,2\) outside \[1,2\]"):
             BiPerm(((1, 1), (2, 5)), ((1, 2), (1, 2)))  # value out of range
 
     def test_roundtrip_exhaustive_small(self):
@@ -88,10 +87,18 @@ def covers_grid_reference(k, l) -> bool:
     return pairs == set(itertools.product(range(1, d + 1), repeat=2))
 
 
+# the messages of BiPerm's three rejections: shape, range, repeat
+BIPERM_REJECTIONS = (
+    r"k and l must both be d x d$|cell \(\d+,\d+\) -> \(-?\d+,-?\d+\) outside \[1,\d+\]\^2$"
+    r"|image pairs repeat; not a bijection of the grid$"
+)
+
+
 def biperm_accepts(k, l) -> bool:
     try:
         BiPerm(k, l)
-    except (DimensionMismatch, NotBijection):
+    except PermupowerError as exc:
+        assert re.match(BIPERM_REJECTIONS, str(exc))
         return False
     return True
 
@@ -328,7 +335,7 @@ class TestSerialization:
             raise AssertionError("tokenized line 2 above the dimension cap")
 
         monkeypatch.setattr(perm_core, "read_int_line", refuse)
-        with pytest.raises(DimensionTooLarge, match="^d = 216 exceeds the supported cap 215$"):
+        with pytest.raises(PermupowerError, match="^d = 216 exceeds the supported cap 215$"):
             parse_biperm("d=216\n" + "1 " * 216**2)
 
     def test_lines_read_lazily(self):
@@ -343,7 +350,7 @@ class TestSerialization:
         assert parse_biperm(io.StringIO(text + "trailing junk\n")) == swap_perm(3)
         # a form feed ends a line of the text, so also of the file's lines
         assert parse_biperm(io.StringIO(text.replace("\n", "\f", 1))) == swap_perm(3)
-        with pytest.raises(DimensionTooLarge, match="cap 215"):
+        with pytest.raises(PermupowerError, match="cap 215"):
             parse_biperm(lines("d=216\n"))
 
     @pytest.mark.parametrize(

@@ -11,10 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "BiPerm", "BudgetExceeded", "ClassHistogram",
-    "DegenerateDimension", "DimensionMismatch", "DimensionTooLarge",
-    "InsufficientSamples",
-    "NotBijection", "NotOrthogonal", "NotUnitary",
-    "ParameterOrderViolation", "ParseError", "PermupowerError", "PowerReport",
+    "NotOrthogonal", "ParseError", "PermupowerError", "PowerReport",
     "Unitary",
     "UnsupportedOrder", "are_orthogonal", "biperm_from_flat",
     "biperm_to_flat", "builtin_perm", "class_bound",
@@ -30,7 +27,7 @@ PUBLIC_NAMES = [
 INTERNAL_HELPERS = {
     "lines_are_permutations", "pairs_cover_grid", "read_int_line", "check_dimension_cap",
     "check_power_dimension", "check_oracle_dimension", "epsilon_denominator",
-    "q_totals_batch", "lex_blocks", "random_blocks", "format_flat",
+    "q_totals_batch", "lex_blocks", "random_blocks", "format_flat", "plain_int",
 }
 
 
