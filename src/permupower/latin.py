@@ -4,7 +4,8 @@ Superimposing an orthogonal pair (K, L) of side d gives a grid permutation
 (i, j) -> (k_ij, l_ij) whose entangling power is exactly d/(d+1), the
 maximum any unitary of that size can reach.  Orthogonal pairs exist for
 every side except 2 and 6; side 6 instead gets an explicit embedded
-permutation that is optimal among permutations.
+permutation that is optimal among permutations.  A pair is orthogonal
+exactly when that map is a permutation, which `BiPerm(K, L)` checks.
 
 `construct_mols` builds a pair for every side d >= 3 with d % 4 != 2:
 cyclic squares for odd sides, GF(2^k) squares for powers of two, and
@@ -18,8 +19,8 @@ import itertools
 import math
 from typing import Sequence
 
-from .errors import NotOrthogonal, ParseError, UnsupportedOrder
-from .perm_core import BiPerm, lines_are_permutations, pairs_cover_grid, read_int_line, row_major
+from .errors import NotOrthogonal, ParseError, PermupowerError, UnsupportedOrder
+from .perm_core import BiPerm, lines_are_permutations, read_int_line
 
 # A square is its tuple of rows; a pair of squares is the tuple (K, L).
 Square = tuple[tuple[int, ...], ...]
@@ -33,26 +34,27 @@ def is_latin(cells: Sequence[Sequence[int]]) -> bool:
 
 
 def are_orthogonal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """True when a and b are both d x d and superimposing them yields every
-    ordered pair of [d] x [d] exactly once."""
-    d = len(a)
-    if len(b) != d or any(len(row) != d for row in (*a, *b)):
+    """True when `superimpose((a, b))` succeeds: a and b are d x d integer
+    grids whose cells pair up into every (k, l) of [d] x [d] once."""
+    try:
+        superimpose((a, b))
+    except NotOrthogonal:
         return False
-    return pairs_cover_grid(row_major(a), row_major(b), d)
+    return True
 
 
 def superimpose(pair: Pair) -> BiPerm:
     """Grid permutation (i, j) -> (K_ij, L_ij) of an orthogonal pair (K, L).
 
-    The one orthogonality check of the package: raises NotOrthogonal unless
-    `are_orthogonal(K, L)`, and otherwise returns `BiPerm(K, L)`.
+    Returns `BiPerm(K, L)`, whose rejection it re-raises as NotOrthogonal.
     """
     first, second = pair
-    if not are_orthogonal(first, second):
+    try:
+        return BiPerm(first, second)
+    except PermupowerError:
         raise NotOrthogonal(
             f"squares of side {len(first)} and {len(second)} are not orthogonal"
-        )
-    return BiPerm._trusted(len(first), tuple(map(tuple, first)), tuple(map(tuple, second)))
+        ) from None
 
 
 # --- constructions -----------------------------------------------------------

@@ -19,6 +19,7 @@ amplitudes.  They validate; they are not the production route.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -60,10 +61,12 @@ def check_oracle_dimension(d: int) -> None:
         raise BudgetExceeded(f"dense oracle capped at d <= {ORACLE_MAX_D}")
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Unitary:
-    """A unitary on the d x d bipartite space, stored as a dense matrix."""
+    """A unitary on the d x d bipartite space: a frozen, read-only dense matrix."""
 
-    __slots__ = ("d", "matrix")
+    d: int
+    matrix: np.ndarray
 
     def __init__(self, d: int, matrix: np.ndarray):
         import numpy as np
@@ -76,39 +79,35 @@ class Unitary:
         dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(n)))
         if dev > STRUCTURE_TOL:
             raise PermupowerError(f"U^dag U deviates from identity by {dev:.2e}")
-        self.d = d
-        self.matrix = matrix.copy()
-        self.matrix.setflags(write=False)
+        self._set(d, matrix.copy())
+
+    def _set(self, d: int, matrix: np.ndarray) -> "Unitary":
+        matrix.setflags(write=False)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "matrix", matrix)
+        return self
 
     @classmethod
     def _trusted(cls, d: int, matrix: np.ndarray) -> "Unitary":
         """Construct without the Gram check (internal, for permutation matrices)."""
-        obj = object.__new__(cls)
-        obj.d = d
-        obj.matrix = matrix
-        matrix.setflags(write=False)
-        return obj
+        return object.__new__(cls)._set(d, matrix)
 
 
 def unitary_of(perm: BiPerm) -> Unitary:
     """Permutation matrix of a grid permutation (column = input cell).
 
     Column i*d + j holds its 1 at the row of the 0-based flat image,
-    (k_ij - 1)*d + (l_ij - 1).  The matrix is complex128 and read-only; it
-    is checked exactly as a permutation, every row hit once, not for
-    U^dag U = I to a tolerance.
+    (k_ij - 1)*d + (l_ij - 1).  The matrix is complex128 and read-only.
+    Every `BiPerm` is a bijection, so it is a permutation matrix exactly,
+    with no U^dag U check to a tolerance.
     """
     import numpy as np
 
     d = perm.d
     check_oracle_dimension(d)
     n = d * d
-    rows = np.array(biperm_to_flat(perm)) - 1
-    counts = np.bincount(rows, minlength=n)
-    if counts.size != n or not (counts == 1).all():
-        raise PermupowerError("image cells do not cover every basis state once")
     m = np.zeros((n, n), dtype=complex)
-    m[rows, np.arange(n)] = 1.0
+    m[np.array(biperm_to_flat(perm)) - 1, np.arange(n)] = 1.0
     return Unitary._trusted(d, m)
 
 

@@ -7,6 +7,10 @@ single index t in [d^2] is row-major with i major:
 
     t = (i - 1) * d + j,        i = ceil(t / d),  j = ((t - 1) mod d) + 1.
 
+`BiPerm` is the package's one cover rule: it accepts only d x d integer
+grids K, L whose cells pair up into every (k, l) of [d]^2 once, so every
+`BiPerm` is a bijection.
+
 A flat image is a plain tuple of ints at the file boundary; inside a
 census, flat permutations travel as numpy blocks of 0-based images, one
 permutation per row, never more than `BLOCK_CELLS` cells to a block.
@@ -30,6 +34,8 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -47,51 +53,45 @@ MAX_DIMENSION = 215
 BLOCK_CELLS = 1 << 20
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class BiPerm:
     """Permutation of [d] x [d], held as the matrix pair K, L."""
 
-    __slots__ = ("d", "k", "l")
+    d: int
+    k: tuple[tuple[int, ...], ...]
+    l: tuple[tuple[int, ...], ...]
 
     def __init__(self, k: Sequence[Sequence[int]], l: Sequence[Sequence[int]]):
-        k = tuple(tuple(int(v) for v in row) for row in k)
-        l = tuple(tuple(int(v) for v in row) for row in l)
+        try:
+            k = tuple(tuple(map(operator.index, row)) for row in k)
+            l = tuple(tuple(map(operator.index, row)) for row in l)
+        except TypeError:
+            raise PermupowerError("k and l must hold integers") from None
         d = len(k)
-        if len(l) != d or any(len(r) != d for r in k) or any(len(r) != d for r in l):
+        if len(l) != d or any(len(r) != d for r in (*k, *l)):
             raise PermupowerError("k and l must both be d x d")
-        ks, ls = row_major(k), row_major(l)
-        if not pairs_cover_grid(ks, ls, d):
+        ks, ls = tuple(itertools.chain(*k)), tuple(itertools.chain(*l))
+        if not {*ks, *ls} <= set(range(1, d + 1)):
             for t, (ki, li) in enumerate(zip(ks, ls)):
                 if not (1 <= ki <= d and 1 <= li <= d):
                     raise PermupowerError(
                         f"cell ({t // d + 1},{t % d + 1}) -> ({ki},{li}) outside [1,{d}]^2"
                     )
+        # the codes k * d + l are distinct on [1, d]^2
+        if len({ki * d + li for ki, li in zip(ks, ls)}) != d * d:
             raise PermupowerError("image pairs repeat; not a bijection of the grid")
-        self.d = d
-        self.k = k
-        self.l = l
+        self._set(d, k, l)
+
+    def _set(self, d: int, k: tuple, l: tuple) -> "BiPerm":
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        return self
 
     @classmethod
     def _trusted(cls, d: int, k: tuple, l: tuple) -> "BiPerm":
         """Construct without validation (internal, for grids already known valid)."""
-        obj = object.__new__(cls)
-        obj.d = d
-        obj.k = k
-        obj.l = l
-        return obj
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiPerm)
-            and self.d == other.d
-            and self.k == other.k
-            and self.l == other.l
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.k, self.l))
-
-    def __repr__(self) -> str:
-        return f"BiPerm(d={self.d}, k={[list(r) for r in self.k]}, l={[list(r) for r in self.l]})"
+        return object.__new__(cls)._set(d, k, l)
 
 
 def check_dimension_cap(d: int) -> None:
@@ -111,27 +111,6 @@ def lines_are_permutations(lines: Iterable[Sequence[int]], d: int) -> bool:
     """True when every line (a row or column of a d x d matrix) permutes [d]."""
     full = set(range(1, d + 1))
     return all(len(line) == d and set(line) == full for line in lines)
-
-
-def row_major(grid: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """The cells of a grid, row by row."""
-    return tuple(itertools.chain.from_iterable(grid))
-
-
-def pairs_cover_grid(ks: Sequence[int], ls: Sequence[int], d: int) -> bool:
-    """True when the cells ks, ls pair up into every (k, l) in [d] x [d] once.
-
-    `ks`, `ls` are the row-major cells of grids K, L: a bijection (K, L), or
-    an orthogonal Latin pair.  Pairs are compared as integer codes k * d + l,
-    distinct on [d]^2; the first repeated code ends the test.
-    """
-    codes = set()
-    for k, l in zip(ks, ls):
-        code = k * d + l
-        if code in codes:
-            return False
-        codes.add(code)
-    return len(codes) == d * d == len(ks) == len(ls) and {*ks, *ls} <= set(range(1, d + 1))
 
 
 def plain_int(text: str) -> int:
@@ -164,10 +143,13 @@ def read_int_line(line: str, count: int, where: str, high: int | None = None) ->
 def biperm_from_flat(image: Sequence[int], d: int) -> BiPerm:
     """Reshape a flat permutation of [d^2] (1-based images) into the (K, L) pair.
 
-    Raises PermupowerError unless the image has d^2 entries and is a
-    bijection of [d^2]; the bijection error names the first offending token.
+    Raises PermupowerError unless the image has d^2 integer entries and is
+    a bijection of [d^2]; the bijection error names the first offending token.
     """
-    image = tuple(map(int, image))
+    try:
+        image = tuple(map(operator.index, image))
+    except TypeError:
+        raise PermupowerError("flat permutation values must be integers") from None
     n = d * d
     if len(image) != n:
         raise PermupowerError(f"flat permutation has length {len(image)}, need d^2 = {n}")

@@ -96,9 +96,11 @@ class TestSuperimpose:
 
     def test_non_orthogonal_rejected(self):
         k4, l4 = construct_mols(4)
-        # a repeated square, the closest side-6 pair, ragged rows, sides that differ
+        floats = tuple(tuple(map(float, row)) for row in R9_K), R9_L
+        # a repeated square, the closest side-6 pair, ragged rows, sides that
+        # differ, and an orthogonal pair with float cells
         for pair in [(R9_K, R9_K), (R9_L, R9_L), D6_NEAR_ORTHOGONAL, RAGGED,
-                     (R9_K, l4), (k4, R9_L)]:
+                     (R9_K, l4), (k4, R9_L), floats]:
             with pytest.raises(NotOrthogonal, match="are not orthogonal"):
                 superimpose(pair)
 

@@ -33,7 +33,6 @@ from permupower import (
 from permupower import oracle as oracle_module
 from permupower.catalog import builtin_perm
 from permupower.oracle import COMPARISON_TOL
-from permupower.perm_core import BiPerm
 
 from conftest import all_biperms, random_biperms
 
@@ -364,13 +363,6 @@ class TestPermutationUnitaries:
     def test_cap(self, rng):
         with pytest.raises(BudgetExceeded):
             unitary_of(random_perm(13, rng))
-
-    def test_repeated_image_rejected(self):
-        # an unvalidated grid that sends two cells to (1, 1)
-        k = ((1, 1), (2, 2))
-        l = ((1, 1), (1, 2))
-        with pytest.raises(PermupowerError, match="^image cells do not cover every basis state"):
-            unitary_of(BiPerm._trusted(2, k, l))
 
 
 class TestOraclePowerPaths:

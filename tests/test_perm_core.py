@@ -1,8 +1,10 @@
 """Grid permutation representation, enumeration, the local permutations and text form."""
 
+import dataclasses
 import io
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from permupower import (
     BiPerm,
+    NotOrthogonal,
     ParseError,
     PermupowerError,
     are_orthogonal,
@@ -20,7 +23,9 @@ from permupower import (
     identity_perm,
     parse_biperm,
     random_perm,
+    superimpose,
     swap_perm,
+    unitary_of,
 )
 
 from permupower import perm_core
@@ -61,6 +66,15 @@ class TestBiPermFromFlat:
             BiPerm(((1, 1), (1, 2)), ((1, 1), (2, 2)))  # image (1,1) repeats
         with pytest.raises(PermupowerError, match=r"^cell \(2,2\) -> \(5,2\) outside \[1,2\]"):
             BiPerm(((1, 1), (2, 5)), ((1, 2), (1, 2)))  # value out of range
+        for cell in (2.7, "1"):
+            with pytest.raises(PermupowerError, match="^k and l must hold integers$"):
+                BiPerm(((1, 1), (2, 2)), ((1, cell), (1, 2)))
+
+    def test_non_integers_rejected(self):
+        with pytest.raises(PermupowerError, match="^flat permutation values must be integers$"):
+            biperm_from_flat([1.5, 2, 3, 4], 2)
+        # numpy integers are integers
+        assert biperm_from_flat(np.arange(4, dtype=np.int32) + 1, 2) == identity_perm(2)
 
     def test_roundtrip_exhaustive_small(self):
         for d in (1, 2):
@@ -87,9 +101,10 @@ def covers_grid_reference(k, l) -> bool:
     return pairs == set(itertools.product(range(1, d + 1), repeat=2))
 
 
-# the messages of BiPerm's three rejections: shape, range, repeat
+# the messages of BiPerm's four rejections: cell type, shape, range, repeat
 BIPERM_REJECTIONS = (
-    r"k and l must both be d x d$|cell \(\d+,\d+\) -> \(-?\d+,-?\d+\) outside \[1,\d+\]\^2$"
+    r"k and l must hold integers$|k and l must both be d x d$"
+    r"|cell \(\d+,\d+\) -> \(-?\d+,-?\d+\) outside \[1,\d+\]\^2$"
     r"|image pairs repeat; not a bijection of the grid$"
 )
 
@@ -126,7 +141,8 @@ def near_bijections(d: int, count: int, seed: int):
 
 
 class TestCoverRule:
-    """BiPerm and are_orthogonal accept exactly the pairs the definition does."""
+    """BiPerm, are_orthogonal and superimpose accept exactly the pairs the
+    definition does."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_reference(self, d):
@@ -139,8 +155,24 @@ class TestCoverRule:
         for k, l in cases:
             expected = covers_grid_reference(k, l)
             assert biperm_accepts(k, l) == are_orthogonal(k, l) == expected, (k, l)
+            if expected:
+                assert superimpose((k, l)) == BiPerm(k, l)
+            else:
+                with pytest.raises(NotOrthogonal, match="are not orthogonal$"):
+                    superimpose((k, l))
             verdicts.append(expected)
         assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_frozen_values():
+    perm = biperm_from_flat((1, 2, 4, 3), 2)
+    u = unitary_of(perm)
+    for obj, field in [(perm, "d"), (perm, "k"), (perm, "l"), (u, "d"), (u, "matrix")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+    copy = pickle.loads(pickle.dumps(perm))
+    assert copy == perm and hash(copy) == hash(perm)
+    assert (copy.d, copy.k, copy.l) == (perm.d, perm.k, perm.l)
 
 
 class TestBasicPerms:

@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
 
 # Module-level helpers that other modules of the package share.
 INTERNAL_HELPERS = {
-    "lines_are_permutations", "pairs_cover_grid", "read_int_line", "check_dimension_cap",
+    "lines_are_permutations", "read_int_line", "check_dimension_cap",
     "check_power_dimension", "check_oracle_dimension", "epsilon_denominator",
     "q_totals_batch", "lex_blocks", "random_blocks", "format_flat", "plain_int",
 }
@@ -60,3 +60,13 @@ def test_every_public_name_has_a_caller():
         )
     ]
     assert unused == []
+
+
+def test_internal_helpers_are_shared():
+    # each helper is defined in one package module and used in another
+    package = Path(permupower.__file__).parent
+    texts = {path.name: path.read_text() for path in package.glob("*.py")}
+    for name in sorted(INTERNAL_HELPERS):
+        homes = [m for m, text in texts.items() if re.search(rf"^def {name}\b", text, re.M)]
+        users = [m for m, text in texts.items() if m not in homes and re.search(rf"\b{name}\b", text)]
+        assert len(homes) == 1 and users, (name, homes, users)
