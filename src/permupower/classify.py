@@ -1,10 +1,17 @@
 """Census of grid permutations by exact entangling power.
 
-Exhaustive classification walks all d^2! permutations (budgeted to d <= 3)
-in lexicographic strata: stratum s holds the (d^2 - 1)! permutations whose
-flat form starts with symbol s+1.  Strata are independent work units, so
-runs parallelize and checkpoint per stratum, and merged results do not
-depend on worker count or scheduling.
+Exhaustive classification counts all d^2! permutations (budgeted to
+d <= 3) from three weighted lexicographic strata.  Relabeling the output
+symbols, k -> sigma(k) and l -> tau(l), changes neither Q_P nor Q_PS, which
+test only equalities among k values and among l values.  These relabelings
+carry the first two 0-based flat images (a, b) of a permutation to (0, t),
+where t is 1 when a and b share k, d when they share l and d + 1 when they
+share neither; the three classes hold d^2 (d-1), d^2 (d-1) and
+d^2 (d-1)^2 pairs (a, b).  So the census is the sum over t of its class
+size times the histogram of stratum t, the (d^2 - 2)! permutations that
+start with (0, t).  Strata are independent work units, so runs
+parallelize and checkpoint per stratum, and merged results do not depend
+on worker count or scheduling.
 
 Sampled classification draws uniform permutations in fixed-size chunks,
 with the chunk c generator seeded from the pair ``[seed, c]``.  Seeds are
@@ -168,11 +175,9 @@ def _q_histogram(blocks: Iterable[np.ndarray], d: int) -> Counter:
 
 
 def _stratum_q_counts(d: int, stratum: int) -> Counter:
-    """Q_P + Q_PS histogram over the (d^2 - 1)! permutations starting with `stratum`.
-
-    Images are 0-based here, so `stratum` ranges over 0..d^2-1.
-    """
-    return _q_histogram(lex_blocks(d * d, stratum), d)
+    """Q_P + Q_PS histogram over the (d^2 - 2)! permutations whose 0-based
+    flat images start with (0, `stratum`)."""
+    return _q_histogram(lex_blocks(d * d, (0, stratum)), d)
 
 
 def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
@@ -231,7 +236,7 @@ def _load_checkpoint(path: Path, d: int, stratum: int) -> dict[int, int] | None:
         for q, c in counts.items()
     ):
         return None  # not a census of this d: recompute
-    if sum(counts.values()) != math.factorial(d * d - 1):
+    if sum(counts.values()) != math.factorial(d * d - 2):
         return None  # counts do not cover the stratum: recompute
     return counts
 
@@ -253,41 +258,44 @@ def classify_exhaustive(
     force: bool = False,
     checkpoint_dir: str | Path | None = None,
 ) -> ClassHistogram:
-    """Exact census over all d^2! permutations, one stratum per work unit.
+    """Exact census over all d^2! permutations, from the three weighted
+    strata t = 1, d, d + 1, one per work unit.
 
     Needs 2 <= d <= 215, and `force` above ENUMERATION_MAX_D.  With
-    `checkpoint_dir`, each stratum persists its partial histogram
-    (`census-d{d}-stratum-{s}.json`) as soon as it completes, and a rerun,
+    `checkpoint_dir`, each stratum persists its unweighted histogram
+    (`census-d{d}-stratum-{t}.json`) as soon as it completes, and a rerun,
     also after an interrupted one, computes only the strata not already on
     disk.
     """
     check_power_dimension(d)
     if d > ENUMERATION_MAX_D and not force:
         raise BudgetExceeded(
-            f"exhaustive census at d = {d} means {d * d}! evaluations; "
+            f"exhaustive census at d = {d} means 3 x {d * d - 2}! evaluations; "
             "pass force to override"
         )
+    # stratum t -> the number of first-two-image pairs relabeled onto (0, t)
+    weights = {1: d * d * (d - 1), d: d * d * (d - 1), d + 1: d * d * (d - 1) ** 2}
     directory = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
 
     merged: Counter = Counter()
     pending: list[tuple[int, int]] = []
-    for s in range(d * d):
+    for t, weight in weights.items():
         cached = None
         if directory is not None:
-            cached = _load_checkpoint(_checkpoint_path(directory, d, s), d, s)
+            cached = _load_checkpoint(_checkpoint_path(directory, d, t), d, t)
         if cached is None:
-            pending.append((d, s))
+            pending.append((d, t))
         else:
-            merged.update(cached)
+            merged.update({q: c * weight for q, c in cached.items()})
 
     # strict zip drains the runner, so its pool shuts down inside this loop
     units = _run_units(_stratum_q_counts, pending, workers)
-    for counts, (_, s) in zip(units, pending, strict=True):
+    for counts, (_, t) in zip(units, pending, strict=True):
         if directory is not None:
-            _write_checkpoint(_checkpoint_path(directory, d, s), d, s, counts)
-        merged.update(counts)
+            _write_checkpoint(_checkpoint_path(directory, d, t), d, t, counts)
+        merged.update({q: c * weights[t] for q, c in counts.items()})
     return _histogram_from_q_counts(d, "exhaustive", merged)
 
 

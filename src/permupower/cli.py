@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cls.add_argument(
         "--checkpoint-dir", type=Path, default=None,
-        help="persist per-stratum partial histograms and resume from them",
+        help="persist the histogram of each of the three strata and resume from them",
     )
     p_cls.add_argument(
         "--force", action="store_true", help="override the exhaustive enumeration budget"

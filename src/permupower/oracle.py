@@ -92,6 +92,10 @@ class Unitary:
         """Construct without the Gram check (internal, for permutation matrices)."""
         return object.__new__(cls)._set(d, matrix)
 
+    def __reduce__(self):
+        # unpickling rebuilds through _set, so the matrix comes back read-only
+        return Unitary._trusted, (self.d, self.matrix)
+
 
 def unitary_of(perm: BiPerm) -> Unitary:
     """Permutation matrix of a grid permutation (column = input cell).

@@ -15,8 +15,8 @@ A flat image is a plain tuple of ints at the file boundary; inside a
 census, flat permutations travel as numpy blocks of 0-based images, one
 permutation per row, never more than `BLOCK_CELLS` cells to a block.
 `lex_blocks` walks the lexicographic order, whole or one stratum (the
-permutations that start with one symbol) at a time, in blocks that share
-all but their last r positions; `random_blocks` draws uniform
+permutations that start with a given prefix) at a time, in blocks that
+share all but their last r positions; `random_blocks` draws uniform
 permutations in blocks.
 
 Everything here is immutable after construction and safe to share across
@@ -225,33 +225,32 @@ def _lex_table(r: int) -> np.ndarray:
     return table
 
 
-def lex_blocks(n: int, first: int | None = None) -> Iterator[np.ndarray]:
-    """All n! permutations of range(n) in lexicographic order, or only the
-    (n - 1)! that start with `first`.
+def lex_blocks(n: int, prefix: Sequence[int] = ()) -> Iterator[np.ndarray]:
+    """The permutations of range(n) that start with `prefix`, all n! when
+    it is empty, in lexicographic order.
 
     Yields int32 blocks of 0-based images, one permutation per row.  A
     block holds the r! permutations that share their first n - r symbols,
-    for the largest r < n with r! * n <= BLOCK_CELLS: the prefixes are
-    `first` (or each symbol in turn) followed by the arrangements of the
+    for the largest r <= n - len(prefix) with r! * n <= BLOCK_CELLS: the
+    first n - r symbols are `prefix` followed by an arrangement of the
     other symbols, in the lexicographic order of itertools.permutations,
     and the last r positions index the remaining symbols with the cached
     lexicographic table of range(r).
     """
     import numpy as np
 
+    prefix = tuple(prefix)
     r = 0
-    while r + 1 < n and math.factorial(r + 1) * n <= BLOCK_CELLS:
+    while r < n - len(prefix) and math.factorial(r + 1) * n <= BLOCK_CELLS:
         r += 1
     table = _lex_table(r)
-    for head in range(n) if first is None else (first,):
-        others = [s for s in range(n) if s != head]
-        for tail in itertools.permutations(others, n - 1 - r):
-            rest = [s for s in others if s not in tail]
-            block = np.empty((len(table), n), dtype=np.int32)
-            block[:, 0] = head
-            block[:, 1 : n - r] = tail
-            block[:, n - r :] = np.array(rest, dtype=np.int32)[table]
-            yield block
+    others = [s for s in range(n) if s not in prefix]
+    for tail in itertools.permutations(others, n - len(prefix) - r):
+        rest = [s for s in others if s not in tail]
+        block = np.empty((len(table), n), dtype=np.int32)
+        block[:, : n - r] = prefix + tail
+        block[:, n - r :] = np.array(rest, dtype=np.int32)[table]
+        yield block
 
 
 def random_blocks(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:

@@ -119,3 +119,13 @@ def test_power_calls_q_of_twice(tracing, name, tmp_path, capsys):
     for i in powers:
         children = [span.name for span in spans if span.parent == i]
         assert children == ["entangle.q_of", "entangle.q_of"]
+
+
+def test_exhaustive_census_runs_three_strata(tracing, tmp_path, capsys):
+    # classify.units.exhaustive counts classify.unit spans and
+    # classify.perms.exhaustive sums the kernel's batch sizes: the census
+    # runs the three strata (0, t), t = 1, d, d + 1, of (d^2 - 2)! each
+    spans = traced_call(tracing, "exhaustive", tmp_path, capsys).spans
+    assert sum(span.name == "classify.unit" for span in spans) == 3
+    sizes = [span.size for span in spans if span.name == "entangle.q_totals_batch"]
+    assert sum(sizes) == 3 * 2

@@ -1,5 +1,6 @@
 """Census engine: exhaustive, sampled, parallel, checkpointed."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -24,7 +25,7 @@ from permupower import (
 from permupower import classify, golden
 from permupower.catalog import builtin_perm
 from permupower.entangle import q_totals_batch
-from permupower.perm_core import BLOCK_CELLS, biperm_to_flat
+from permupower.perm_core import BLOCK_CELLS, biperm_to_flat, lex_blocks
 
 from conftest import local_rows, orthogonal_pair_count
 
@@ -96,7 +97,7 @@ class TestExhaustive:
 
     def test_budget_is_the_enumeration_budget(self, monkeypatch):
         monkeypatch.setattr(classify, "ENUMERATION_MAX_D", 2)
-        with pytest.raises(BudgetExceeded, match="9! evaluations"):
+        with pytest.raises(BudgetExceeded, match="3 x 7! evaluations"):
             classify_exhaustive(3)
         for force in (False, True):
             with pytest.raises(PermupowerError, match="entangling power needs d >= 2"):
@@ -139,12 +140,41 @@ class TestExhaustive:
         assert classify_exhaustive(2, workers=4).classes == D2_CLASSES
         assert classify_exhaustive(3, workers=4).classes == census_d3.classes
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_strata_share_their_representative_histogram(self, d):
+        # relabeling the output symbols carries the stratum of the first two
+        # images (s, t) onto (0, 1) when s and t share k, onto (0, d) when
+        # they share l, and onto (0, d + 1) otherwise
+        n = d * d
+
+        def histogram(prefix):
+            return Counter(np.concatenate(
+                [q_totals_batch(block, d) for block in lex_blocks(n, prefix)]
+            ).tolist())
+
+        reps = {t: histogram((0, t)) for t in (1, d, d + 1)}
+        members = Counter()
+        for s, t in itertools.permutations(range(n), 2):
+            (ks, ls), (kt, lt) = divmod(s, d), divmod(t, d)
+            rep = 1 if ks == kt else d if ls == lt else d + 1
+            assert histogram((s, t)) == reps[rep], (s, t)
+            members[rep] += 1
+        assert members == {1: n * (d - 1), d: n * (d - 1), d + 1: n * (d - 1) ** 2}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_weighted_census_is_the_naive_count(self, d):
+        naive = Counter()
+        for block in lex_blocks(d * d):
+            naive.update(q_totals_batch(block, d).tolist())
+        hist = classify_exhaustive(d)
+        assert hist.classes == classify._histogram_from_q_counts(d, "exhaustive", naive).classes
+
     def test_checkpoint_resume(self, tmp_path, census_d3):
         first = classify_exhaustive(3, checkpoint_dir=tmp_path)
         files = sorted(tmp_path.glob("census-d3-*.json"))
-        assert len(files) == 9
+        assert len(files) == 3
         # drop one stratum and rerun: only that stratum is recomputed
-        files[4].unlink()
+        files[1].unlink()
         second = classify_exhaustive(3, checkpoint_dir=tmp_path)
         assert first.classes == second.classes == census_d3.classes
 
@@ -152,16 +182,16 @@ class TestExhaustive:
         real = classify._stratum_q_counts
         calls = []
 
-        def interrupted_at_fifth(d, stratum):
+        def interrupted_at_second(d, stratum):
             calls.append(stratum)
-            if len(calls) == 5:
+            if len(calls) == 2:
                 raise RuntimeError("run interrupted")
             return real(d, stratum)
 
-        monkeypatch.setattr(classify, "_stratum_q_counts", interrupted_at_fifth)
+        monkeypatch.setattr(classify, "_stratum_q_counts", interrupted_at_second)
         with pytest.raises(RuntimeError, match="interrupted"):
             classify_exhaustive(3, checkpoint_dir=tmp_path)
-        assert len(list(tmp_path.glob("census-d3-*.json"))) == 4
+        assert len(list(tmp_path.glob("census-d3-*.json"))) == 1
 
         calls.clear()
 
@@ -171,32 +201,32 @@ class TestExhaustive:
 
         monkeypatch.setattr(classify, "_stratum_q_counts", counted)
         hist = classify_exhaustive(3, checkpoint_dir=tmp_path)
-        assert calls == [4, 5, 6, 7, 8]
+        assert calls == [3, 4]
         assert dict(hist.classes) == golden.EXPECTED_CENSUS[3]
-        assert len(list(tmp_path.glob("census-d3-*.json"))) == 9
+        assert len(list(tmp_path.glob("census-d3-*.json"))) == 3
 
     def test_checkpoint_rejects_wrong_total(self, tmp_path):
         classify_exhaustive(2, checkpoint_dir=tmp_path)
-        path = tmp_path / "census-d2-stratum-0.json"
+        path = tmp_path / "census-d2-stratum-1.json"
         payload = json.loads(path.read_text())
         good = dict(payload["q_counts"])
-        # a wrong sum; then sums of 6 with a count below 1, a Q total
-        # outside [2d^2, d^4 + d^2] = [8, 20], or a count that is not a
-        # JSON integer (int() would read 6.9 as 6, "6" as 6 and true as 1)
+        # a wrong sum; then sums of (d^2 - 2)! = 2 with a count below 1, a
+        # Q total outside [2d^2, d^4 + d^2] = [8, 20], or a count that is not
+        # a JSON integer (int() would read 2.9 as 2, "2" as 2 and true as 1)
         damaged = [{key: 2 * cnt for key, cnt in good.items()},
-                   {"12": 7, "20": -1}, {"0": 6}, {"20": -1, "40": 7},
-                   {"12": 6.9}, {"12": "6"}, {"12": 5, "20": True}]
+                   {"12": 3, "20": -1}, {"0": 2}, {"20": -1, "40": 3},
+                   {"12": 2.9}, {"12": "2"}, {"12": 1, "20": True}]
         clean = classify_exhaustive(2).to_json()
         for q_counts in damaged:
             path.write_text(json.dumps(dict(payload, q_counts=q_counts)))
-            assert classify._load_checkpoint(path, 2, 0) is None
+            assert classify._load_checkpoint(path, 2, 1) is None
             hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
             assert hist.classes == D2_CLASSES and hist.to_json() == clean
             assert json.loads(path.read_text())["q_counts"] == good
 
     def test_checkpoint_ignores_stale(self, tmp_path):
-        stale = tmp_path / "census-d2-stratum-0.json"
-        stale.write_text(json.dumps({"d": 3, "stratum": 0, "q_counts": {}}))
+        stale = tmp_path / "census-d2-stratum-2.json"
+        stale.write_text(json.dumps({"d": 3, "stratum": 2, "q_counts": {}}))
         # files of the earlier rank-range layout, here claiming that every
         # permutation of each stratum has power zero, are never read
         for s in range(4):
@@ -204,10 +234,15 @@ class TestExhaustive:
             old.write_text(json.dumps(
                 {"d": 2, "lo": 6 * s, "hi": 6 * s + 6, "q_counts": {"20": 6}}
             ))
+        # nor is a file of the one-symbol stratum layout, whose counts sum
+        # to (d^2 - 1)! = 6, not (d^2 - 2)! = 2
+        one_symbol = tmp_path / "census-d2-stratum-1.json"
+        one_symbol.write_text(json.dumps({"d": 2, "stratum": 1, "q_counts": {"20": 6}}))
         hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
         assert hist.classes == D2_CLASSES
         assert json.loads(stale.read_text())["d"] == 2
-        assert len(list(tmp_path.glob("census-d2-stratum-*.json"))) == 4
+        assert sum(json.loads(one_symbol.read_text())["q_counts"].values()) == 2
+        assert len(list(tmp_path.glob("census-d2-stratum-*.json"))) == 3
 
 
 class TestSampled:
@@ -343,11 +378,11 @@ def in_process_pool(monkeypatch):
 
 def test_pool_no_larger_than_the_units(in_process_pool):
     # a fork pool starts all max_workers processes at the first submit
-    assert classify_exhaustive(2, workers=64).classes == D2_CLASSES  # 4 strata
+    assert classify_exhaustive(2, workers=64).classes == D2_CLASSES  # 3 strata
     units = [(2, 3), (3, 2), (4, 1)]
     for workers in (8, 2):
         assert list(classify._run_units(pow, units, workers)) == [8, 9, 4]
-    assert in_process_pool["sizes"] == [4, 3, 2]
+    assert in_process_pool["sizes"] == [3, 3, 2]
 
 
 def test_pool_fed_a_few_units_at_a_time(in_process_pool):

@@ -173,6 +173,10 @@ def test_frozen_values():
     copy = pickle.loads(pickle.dumps(perm))
     assert copy == perm and hash(copy) == hash(perm)
     assert (copy.d, copy.k, copy.l) == (perm.d, perm.k, perm.l)
+    # a pickled unitary keeps its matrix read-only
+    u_copy = pickle.loads(pickle.dumps(u))
+    assert u_copy.d == u.d and np.array_equal(u_copy.matrix, u.matrix)
+    assert not u_copy.matrix.flags.writeable
 
 
 class TestBasicPerms:
@@ -261,14 +265,14 @@ class TestDetectNonEntangling:
         assert len(structural) == 2 * math.factorial(2) ** 2  # 8
 
 
-def lex_rows(n: int, first: int | None = None) -> list[tuple[int, ...]]:
+def lex_rows(n: int, prefix: tuple = ()) -> list[tuple[int, ...]]:
     """The rows lex_blocks yields, as tuples."""
-    return [tuple(row) for block in lex_blocks(n, first) for row in block.tolist()]
+    return [tuple(row) for block in lex_blocks(n, prefix) for row in block.tolist()]
 
 
-def lex_array(n: int, first: int | None = None, blocks: int | None = None) -> np.ndarray:
+def lex_array(n: int, prefix: tuple = (), blocks: int | None = None) -> np.ndarray:
     """The rows of the first `blocks` blocks lex_blocks yields (all when None)."""
-    return np.concatenate(list(itertools.islice(lex_blocks(n, first), blocks)))
+    return np.concatenate(list(itertools.islice(lex_blocks(n, prefix), blocks)))
 
 
 def perms_array(symbols, head: tuple = (), count: int | None = None) -> np.ndarray:
@@ -293,24 +297,32 @@ class TestEnumeration:
         assert [block.shape for block in lex_blocks(9)] == [(40320, 9)] * 9
 
     def test_smallest_n(self):
-        assert lex_rows(1) == lex_rows(1, 0) == [(0,)]
+        assert lex_rows(1) == lex_rows(1, (0,)) == [(0,)]
         assert lex_rows(2) == [(0, 1), (1, 0)]
-        assert lex_rows(2, 0) == [(0, 1)] and lex_rows(2, 1) == [(1, 0)]
+        assert lex_rows(2, (0,)) == [(0, 1)] and lex_rows(2, (1,)) == [(1, 0)]
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_strata_make_the_whole_order(self, n):
         # stratum s holds the (n - 1)! permutations that start with s
         whole = perms_array(range(n))
         size = math.factorial(n - 1)
-        strata = [lex_array(n, s) for s in range(n)]
+        strata = [lex_array(n, (s,)) for s in range(n)]
         for s, stratum in enumerate(strata):
             assert np.array_equal(stratum, whole[s * size : (s + 1) * size])
         assert np.array_equal(np.concatenate(strata), whole)
         assert np.array_equal(lex_array(n), whole)
 
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_two_symbol_strata_make_the_whole_order(self, n):
+        # stratum (s, t) holds the (n - 2)! permutations that start with s, t
+        whole = perms_array(range(n))
+        strata = [lex_array(n, prefix) for prefix in itertools.permutations(range(n), 2)]
+        assert {len(stratum) for stratum in strata} == {math.factorial(n - 2)}
+        assert np.array_equal(np.concatenate(strata), whole)
+
     def test_d4_stratum_crosses_block(self):
         # n = 16 blocks hold the 8! permutations sharing an 8-symbol prefix
-        blocks = list(itertools.islice(lex_blocks(16, 5), 2))
+        blocks = list(itertools.islice(lex_blocks(16, (5,)), 2))
         assert [block.shape for block in blocks] == [(40320, 16)] * 2
         others = [s for s in range(16) if s != 5]
         want = perms_array(others, head=(5,), count=2 * 40320)
@@ -318,7 +330,7 @@ class TestEnumeration:
 
     def test_d5_last_stratum_first_block(self):
         # n = 25 blocks hold the 8! permutations sharing a 17-symbol prefix
-        got = lex_array(25, 24, blocks=1)
+        got = lex_array(25, (24,), blocks=1)
         assert got.shape == (40320, 25)
         assert np.array_equal(got, perms_array(range(24), head=(24,), count=40320))
 
