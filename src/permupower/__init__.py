@@ -44,7 +44,6 @@ from .oracle import (
     unitary_of,
 )
 from .latin import (
-    are_orthogonal,
     construct_mols,
     is_latin,
     special_d6_perm,

@@ -13,13 +13,16 @@ start with (0, t).  Strata are independent work units, so runs
 parallelize and checkpoint per stratum, and merged results do not depend
 on worker count or scheduling.
 
-Sampled classification draws uniform permutations in fixed-size chunks,
-with the chunk c generator seeded from the pair ``[seed, c]``.  Seeds are
-limited to [0, 2**32): numpy splits a larger seed into 32-bit words, so
-chunk c of seed s would replay chunk 0 of seed s + c * 2**32.  Both modes
+Sampled classification draws at most SAMPLE_BUDGET uniform permutations
+in fixed-size chunks, with the chunk c generator seeded from the pair
+``[seed, c]``.  Seeds are limited to [0, 2**32): numpy splits a larger
+seed into 32-bit words, so chunk c of seed s would replay chunk 0 of
+seed s + c * 2**32.  Both modes
 draw their blocks from the permutation source in `perm_core` and run their
 units through one driver that merges exact integer histograms, so results
-are byte-identical for any worker count.
+are byte-identical for any worker count.  A `ClassHistogram` holds the
+classes and, for a sampled census, the seed; its total and mode follow
+from them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ from .entangle import epsilon_denominator, epsilon_from_q, q_totals_batch
 ENUMERATION_MAX_D = 3
 
 SAMPLE_CHUNK = 50_000
+
+# Largest sampled census accepted.  d = 2 is the fastest side: one worker
+# draws and counts 2.6-3.4 x 10^6 permutations per second there
+# (`classify_sampled(2, 10**6, 1)` takes 0.29-0.39 s on 2 vCPU), so 10^12
+# samples keep one worker busy for 3.4-4.5 days, and any larger d longer.
+SAMPLE_BUDGET = 10**12
 
 # Sampled seeds lie in [0, SEED_BOUND), where every chunk stream is distinct.
 SEED_BOUND = 1 << 32
@@ -83,12 +92,11 @@ def exact_mean(d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ClassHistogram:
-    """Exact map from entangling power to permutation count."""
+    """Exact map from entangling power to permutation count: a sampled
+    census when it has a seed, the exhaustive one when it has none."""
 
     d: int
-    mode: str  # "exhaustive" | "sampled"
     classes: tuple[tuple[Fraction, int], ...]  # sorted by increasing power
-    total: int
     seed: int | None = None
 
     def __post_init__(self):
@@ -97,8 +105,6 @@ class ClassHistogram:
             raise ValueError("classes must be sorted by power")
         if any(c < 1 for _, c in self.classes):
             raise ValueError("class counts must be positive")
-        if sum(c for _, c in self.classes) != self.total:
-            raise ValueError("class counts do not sum to total")
         top = Fraction(self.d, self.d + 1)
         if any(not 0 <= k <= top for k in keys):
             raise ValueError("power outside [0, d/(d+1)]")
@@ -106,6 +112,14 @@ class ClassHistogram:
             raise ValueError("more classes than the theoretical bound")
         if self.mode == "exhaustive" and self.total != math.factorial(self.d**2):
             raise ValueError("exhaustive total must be d^2!")
+
+    @property
+    def mode(self) -> str:
+        return "exhaustive" if self.seed is None else "sampled"
+
+    @property
+    def total(self) -> int:
+        return sum(c for _, c in self.classes)
 
     def mean(self) -> Fraction | None:
         """Exact mean power over the census (None when empty)."""
@@ -148,16 +162,10 @@ class ClassHistogram:
 
 
 def _histogram_from_q_counts(
-    d: int, mode: str, q_counts: dict[int, int], seed: int | None = None
+    d: int, q_counts: dict[int, int], seed: int | None = None
 ) -> ClassHistogram:
     classes = sorted((epsilon_from_q(d, q_total, 0), c) for q_total, c in q_counts.items())
-    return ClassHistogram(
-        d=d,
-        mode=mode,
-        classes=tuple(classes),
-        total=sum(q_counts.values()),
-        seed=seed,
-    )
+    return ClassHistogram(d=d, classes=tuple(classes), seed=seed)
 
 
 # --- work units ---------------------------------------------------------------
@@ -296,7 +304,7 @@ def classify_exhaustive(
         if directory is not None:
             _write_checkpoint(_checkpoint_path(directory, d, t), d, t, counts)
         merged.update({q: c * weights[t] for q, c in counts.items()})
-    return _histogram_from_q_counts(d, "exhaustive", merged)
+    return _histogram_from_q_counts(d, merged)
 
 
 # --- sampled census -----------------------------------------------------------
@@ -308,7 +316,8 @@ def classify_sampled(
     seed: int,
     workers: int = 1,
 ) -> ClassHistogram:
-    """Census of `samples` uniform random permutations.
+    """Census of `samples` uniform random permutations, 2 <= samples <=
+    SAMPLE_BUDGET.
 
     The observed class list is a lower bound on the true class count.
     Accumulation is exact (integer rectangle totals), so the histogram,
@@ -318,6 +327,8 @@ def classify_sampled(
     check_power_dimension(d)
     if samples < 2:
         raise PermupowerError("need at least 2 samples")
+    if samples > SAMPLE_BUDGET:
+        raise BudgetExceeded(f"{samples} samples exceed the budget of {SAMPLE_BUDGET}")
     if not 0 <= seed < SEED_BOUND:
         raise PermupowerError(f"seed {seed} outside [0, 2**32)")
     chunks = (
@@ -327,4 +338,4 @@ def classify_sampled(
     merged: Counter = Counter()
     for counts in _run_units(_sample_chunk_q, chunks, workers):
         merged.update(counts)
-    return _histogram_from_q_counts(d, "sampled", merged, seed=seed)
+    return _histogram_from_q_counts(d, merged, seed=seed)

@@ -11,7 +11,8 @@ Exit codes:
      a power, with one message), or a `--d` or builtin dimension above the
      cap of 215 (checked first)
   2  unparsable input: a malformed, unreadable or non-UTF-8 file, an
-     unknown builtin, or a bad argument (`--seed` outside [0, 2^32);
+     unknown builtin, or a bad argument (`classify`, `mols` or `sample`
+     without `--d`; `--seed` outside [0, 2^32);
      `--d`, `--workers`, `--count` or `verify --samples` below 1; an
      integer argument that is not plain decimal, e.g. `--d +4`; a
      `power --d` other than the permutation's d; a flag the command does
@@ -27,6 +28,7 @@ Exit codes:
   3  unsupported Latin square order, or a `mols --table` pair whose side
      is not `--d` or whose squares are not orthogonal
   4  budget exceeded: the exhaustive enumeration budget (`classify --force`
+     overrides it), the sampled census budget of 10^12 samples (nothing
      overrides it), the dense oracle's cap of d <= 12 on the two dense
      `verify` targets, or a `verify tables` side with no reference census
   5  verification failure
@@ -64,14 +66,7 @@ from .errors import (
     PermupowerError,
     UnsupportedOrder,
 )
-from .latin import (
-    are_orthogonal,
-    construct_mols,
-    format_pair,
-    is_latin,
-    parse_pair_file,
-    superimpose,
-)
+from .latin import construct_mols, format_pair, is_latin, parse_pair_file, superimpose
 from .oracle import COMPARISON_TOL, check_oracle_dimension, mc_power, oracle_power, unitary_of
 from .perm_core import (
     check_dimension_cap, check_power_dimension, format_biperm, format_flat, parse_biperm,
@@ -174,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv"), default="json",
         help="output format (json is canonical)",
     )
-    _add_common(p_cls, "d", "seed", "workers", "out")
+    p_cls.add_argument("--d", **_COMMON["d"], required=True)
+    _add_common(p_cls, "seed", "workers", "out")
 
     p_mols = sub.add_parser("mols", help="construct an orthogonal Latin pair")
     p_mols.set_defaults(run=cmd_mols)
@@ -182,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--table", type=Path, default=None,
         help="load the pair from a file instead of constructing (validated)",
     )
-    _add_common(p_mols, "d", "out")
+    p_mols.add_argument("--d", **_COMMON["d"], required=True)
+    _add_common(p_mols, "out")
 
     p_ver = sub.add_parser("verify", help="run a named cross-check suite")
     p_ver.set_defaults(run=cmd_verify)
@@ -198,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument(
         "--count", type=_int_at_least(1), default=1, help="how many to draw"
     )
-    _add_common(p_sample, "d", "seed", "out")
+    p_sample.add_argument("--d", **_COMMON["d"], required=True)
+    _add_common(p_sample, "seed", "out")
 
     return parser
 
@@ -277,8 +275,6 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     d = args.d
-    if d is None:
-        raise ParseError("classify needs --d")
     if args.checkpoint_dir is not None and not args.exhaustive:
         raise ParseError("--checkpoint-dir applies to exhaustive runs only")
     if args.force and not args.exhaustive:
@@ -316,8 +312,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_mols(args: argparse.Namespace) -> int:
     d = args.d
-    if d is None:
-        raise ParseError("mols needs --d")
     check_power_dimension(d)  # before the pair is built or read
     out = _check_out(args.out or Path(f"mols-d{d}.txt"))
     perm_path = _check_out(Path(f"{out}.perm"))
@@ -343,8 +337,6 @@ def cmd_mols(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     d = args.d
-    if d is None:
-        raise ParseError("sample needs --d")
     # row r of random_blocks is the r-th rng.permutation draw, so this writes
     # format_biperm(random_perm(d, rng)) for each draw, as it is drawn
     import numpy as np
@@ -418,10 +410,9 @@ def _verify_mc_vs_formula(args: argparse.Namespace, d: int) -> None:
 
 
 def _verify_theorem4(args: argparse.Namespace, d: int) -> None:
-    first, second = construct_mols(d)
-    ok = is_latin(first) and is_latin(second) and are_orthogonal(first, second)
+    perm = superimpose(construct_mols(d))
+    ok = is_latin(perm.k) and is_latin(perm.l)
     _check(f"d={d} constructed pair is orthogonal Latin", ok, True, ok)
-    perm = superimpose((first, second))
     report = entangling_power(perm)
     _check(
         f"d={d} superimposed power",

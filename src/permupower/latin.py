@@ -5,7 +5,8 @@ Superimposing an orthogonal pair (K, L) of side d gives a grid permutation
 maximum any unitary of that size can reach.  Orthogonal pairs exist for
 every side except 2 and 6; side 6 instead gets an explicit embedded
 permutation that is optimal among permutations.  A pair is orthogonal
-exactly when that map is a permutation, which `BiPerm(K, L)` checks.
+exactly when that map is a permutation, so `superimpose`, which builds
+`BiPerm(K, L)`, is the one orthogonality test.
 
 `construct_mols` builds a pair for every side d >= 3 with d % 4 != 2:
 cyclic squares for odd sides, GF(2^k) squares for powers of two, and
@@ -31,16 +32,6 @@ def is_latin(cells: Sequence[Sequence[int]]) -> bool:
     """True when every row and every column is a permutation of [d]."""
     d = len(cells)
     return lines_are_permutations(cells, d) and lines_are_permutations(zip(*cells), d)
-
-
-def are_orthogonal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """True when `superimpose((a, b))` succeeds: a and b are d x d integer
-    grids whose cells pair up into every (k, l) of [d] x [d] once."""
-    try:
-        superimpose((a, b))
-    except NotOrthogonal:
-        return False
-    return True
 
 
 def superimpose(pair: Pair) -> BiPerm:

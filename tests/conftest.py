@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from permupower import BiPerm, are_orthogonal, biperm_from_flat, random_perm
+from permupower import BiPerm, biperm_from_flat, random_perm
 from permupower.perm_core import lex_blocks
 
 
@@ -59,4 +59,8 @@ def latin_squares(d: int):
 def orthogonal_pair_count(d: int) -> int:
     """Unordered orthogonal pairs among all Latin squares of side d."""
     squares = list(latin_squares(d))
-    return sum(are_orthogonal(a, b) for a, b in itertools.combinations(squares, 2))
+    cells = [list(itertools.chain.from_iterable(square)) for square in squares]
+    # a pair is orthogonal when its d^2 cell pairs (k, l) are all distinct
+    return sum(
+        len(set(zip(a, b))) == d * d for a, b in itertools.combinations(cells, 2)
+    )

@@ -167,7 +167,7 @@ class TestExhaustive:
         for block in lex_blocks(d * d):
             naive.update(q_totals_batch(block, d).tolist())
         hist = classify_exhaustive(d)
-        assert hist.classes == classify._histogram_from_q_counts(d, "exhaustive", naive).classes
+        assert hist.classes == classify._histogram_from_q_counts(d, naive).classes
 
     def test_checkpoint_resume(self, tmp_path, census_d3):
         first = classify_exhaustive(3, checkpoint_dir=tmp_path)
@@ -243,6 +243,15 @@ class TestExhaustive:
         assert json.loads(stale.read_text())["d"] == 2
         assert sum(json.loads(one_symbol.read_text())["q_counts"].values()) == 2
         assert len(list(tmp_path.glob("census-d2-stratum-*.json"))) == 3
+
+    @pytest.mark.parametrize("text", ["{", "[]"], ids=["truncated", "not-an-object"])
+    def test_checkpoint_ignores_unreadable(self, tmp_path, text):
+        path = tmp_path / "census-d2-stratum-1.json"
+        path.write_text(text)
+        assert classify._load_checkpoint(path, 2, 1) is None
+        hist = classify_exhaustive(2, checkpoint_dir=tmp_path)
+        assert hist.classes == D2_CLASSES
+        assert sum(json.loads(path.read_text())["q_counts"].values()) == 2
 
 
 class TestSampled:
@@ -395,6 +404,16 @@ def test_pool_fed_a_few_units_at_a_time(in_process_pool):
     assert max(in_process_pool["fed"]) <= 4 * 3
 
 
+def test_sample_budget(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no unit may run")
+
+    monkeypatch.setattr(classify, "_sample_chunk_q", refuse)
+    budget = classify.SAMPLE_BUDGET
+    with pytest.raises(BudgetExceeded, match=f"^{budget + 1} samples exceed the budget of {budget}$"):
+        classify_sampled(2, budget + 1, 0)
+
+
 def test_sampled_units_built_lazily(monkeypatch):
     # 10**10 samples are 200,000 chunks: listing their units up front
     # peaks at about 21 MiB, counting three of them should not
@@ -455,11 +474,11 @@ class TestBoundsAndStats:
     def test_std_error_exact(self):
         # Var = (8 (8/27)^2 + 16 (4/27)^2) / 23 = 768 / (729 * 23), over n = 24
         assert classify_exhaustive(2).std_error() == math.sqrt(Fraction(32, 729 * 23))
-        one_class = ClassHistogram(d=2, mode="sampled", classes=((Fraction(0), 2),), total=2)
+        one_class = ClassHistogram(d=2, classes=((Fraction(0), 2),), seed=0)
         assert one_class.std_error() == 0.0
         for total in (0, 1):
             classes = ((Fraction(0), total),) if total else ()
-            hist = ClassHistogram(d=2, mode="sampled", classes=classes, total=total)
+            hist = ClassHistogram(d=2, classes=classes, seed=0)
             assert hist.std_error() is None
 
     @pytest.mark.parametrize("fn", [class_bound, e0_stats], ids=lambda fn: fn.__name__)
@@ -478,10 +497,7 @@ def histogram_from_json(payload: dict) -> ClassHistogram:
     classes = tuple(
         (Fraction(entry["num"], entry["den"]), entry["count"]) for entry in payload["classes"]
     )
-    return ClassHistogram(
-        d=payload["d"], mode=payload["mode"], classes=classes,
-        total=payload["total"], seed=payload["seed"],
-    )
+    return ClassHistogram(d=payload["d"], classes=classes, seed=payload["seed"])
 
 
 class TestHistogramSerialization:
@@ -501,21 +517,32 @@ class TestHistogramSerialization:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClassHistogram(
-                d=2, mode="sampled",
-                classes=((Fraction(4, 9), 1), (Fraction(0), 1)),
-                total=2,
+                d=2, classes=((Fraction(4, 9), 1), (Fraction(0), 1)), seed=0,
             )
         with pytest.raises(ValueError):
-            ClassHistogram(
-                d=2, mode="sampled", classes=((Fraction(0), 1),), total=5
-            )
-        with pytest.raises(ValueError):
-            ClassHistogram(
-                d=2, mode="sampled", classes=((Fraction(7, 9), 1),), total=1
-            )
+            ClassHistogram(d=2, classes=((Fraction(7, 9), 1),), seed=0)
         for counts in ((0, 2), (-1, 3)):
             with pytest.raises(ValueError, match="positive"):
                 ClassHistogram(
-                    d=2, mode="sampled", total=2,
+                    d=2, seed=0,
                     classes=((Fraction(0), counts[0]), (Fraction(4, 9), counts[1])),
                 )
+
+    def test_class_bound_enforced(self):
+        # d = 2 has at most class_bound(2) = 4 classes
+        five = tuple((Fraction(i, 9), 1) for i in range(5))
+        with pytest.raises(ValueError, match="^more classes than the theoretical bound$"):
+            ClassHistogram(d=2, classes=five, seed=0)
+
+    def test_exhaustive_total(self):
+        # a histogram without a seed is an exhaustive census of all d^2! = 24
+        with pytest.raises(ValueError, match=r"^exhaustive total must be d\^2!$"):
+            ClassHistogram(d=2, classes=((Fraction(0), 8),))
+
+    def test_total_and_mode_derived(self):
+        exhaustive = classify_exhaustive(2)
+        assert (exhaustive.mode, exhaustive.total, exhaustive.seed) == ("exhaustive", 24, None)
+        sampled = ClassHistogram(d=2, classes=((Fraction(0), 3), (Fraction(4, 9), 5)), seed=7)
+        assert (sampled.mode, sampled.total) == ("sampled", 8)
+        with pytest.raises(TypeError):
+            ClassHistogram(d=2, mode="sampled", classes=(), seed=7)

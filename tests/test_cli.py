@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permupower import classify_sampled, cli, perm_core
+from permupower import classify, classify_sampled, cli, perm_core
 from permupower.catalog import BUILTIN_NAMES
 from permupower.latin import construct_mols, format_pair, parse_pair_file
 from permupower import entangling_power, format_biperm, parse_biperm, random_perm
@@ -205,6 +205,21 @@ class TestClassify:
              "--out", str(tmp_path / "x.json")], capsys,
         )
         assert code == 4 and "force" in err
+
+    def test_sample_budget_exit_4(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no unit may run")
+
+        monkeypatch.setattr(classify, "_sample_chunk_q", refuse)
+        out_file = tmp_path / "x.json"
+        code, out, err = run(
+            ["classify", "--d", "2", "--samples", "100000000000000000000000",
+             "--out", str(out_file)], capsys,
+        )
+        assert code == 4 and out == "" and not out_file.exists()
+        assert err == (
+            "error: 100000000000000000000000 samples exceed the budget of 1000000000000\n"
+        )
 
     def test_sampled_reproducible_across_workers(self, capsys, tmp_path):
         # the histogram file and the whole stdout, `sampled` and `exact` lines included
@@ -509,6 +524,21 @@ class TestVerify:
         code, out, _ = run(["verify", "tables", "--d", "2"], capsys)
         assert code == 5 and "[FAIL] d=2 census classes" in out
 
+    def test_mc_failure_after_retry_exit_5(self, capsys, monkeypatch):
+        seeds = []
+
+        def far_off(u, samples, seed):
+            seeds.append(seed)
+            return 0.0, 0.001
+
+        monkeypatch.setattr(cli, "mc_power", far_off)
+        code, out, _ = run(["verify", "mc-vs-formula", "--d", "3", "--seed", "7"], capsys)
+        assert code == 5 and seeds == [7, 8]
+        assert out == (
+            "[FAIL] monte carlo vs formula, cnot: "
+            "expected within 5 SE of 0.444444, got 444.44 SE after retry\n"
+        )
+
     def test_mean_checked_against_exact_mean(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "exact_mean", lambda d: Fraction(1, 2))
         code, out, _ = run(["verify", "tables", "--d", "2"], capsys)
@@ -613,6 +643,20 @@ class TestArgumentBoundary:
         assert not any(tmp_path.iterdir())
         code, out, _ = run(["sample", "--d", "2", "--seed", str(2**32 - 1)], capsys)
         assert code == 0 and out.startswith("d=2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--exhaustive"], ["classify", "--samples", "100"], ["mols"], ["sample"]],
+        ids=["classify-exhaustive", "classify-sampled", "mols", "sample"],
+    )
+    def test_missing_dimension(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == "error: the following arguments are required: --d\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

@@ -11,7 +11,6 @@ from permupower import (
     NotOrthogonal,
     ParseError,
     UnsupportedOrder,
-    are_orthogonal,
     construct_mols,
     entangling_power,
     is_latin,
@@ -37,7 +36,7 @@ SUPPORTED_UP_TO_12 = (3, 4, 5, 7, 8, 9, 11, 12)
 
 # Grids of three rows each whose 9 flat cells cover [3]^2 once, but whose
 # rows are not of length 3: no orthogonal pair (tests/test_perm_core.py
-# checks are_orthogonal and BiPerm on it).
+# checks BiPerm and superimpose on it).
 RAGGED = (((1, 1), (1, 2, 2, 2), (3, 3, 3)), ((1, 2), (3, 1, 2, 3), (1, 2, 3)))
 
 # The two side-6 Latin squares that come as close to orthogonality as
@@ -66,15 +65,17 @@ D6_NEAR_ORTHOGONAL = (
 class TestPredicates:
     def test_r9_squares_orthogonal(self):
         assert is_latin(R9_K) and is_latin(R9_L)
-        assert are_orthogonal(R9_K, R9_L)
+        assert superimpose((R9_K, R9_L)).d == 3
 
     def test_square_not_self_orthogonal(self):
-        assert not are_orthogonal(R9_K, R9_K)
+        with pytest.raises(NotOrthogonal, match="are not orthogonal"):
+            superimpose((R9_K, R9_K))
 
     def test_near_orthogonal_side6(self):
         a, b = D6_NEAR_ORTHOGONAL
         assert is_latin(a) and is_latin(b)
-        assert not are_orthogonal(a, b)
+        with pytest.raises(NotOrthogonal, match="are not orthogonal"):
+            superimpose((a, b))
 
     def test_not_latin(self):
         assert not is_latin(((1, 2), (1, 2)))
@@ -127,7 +128,6 @@ class TestConstructMols:
         assert mols_supported(d)
         first, second = pair = construct_mols(d)
         assert is_latin(first) and is_latin(second)
-        assert are_orthogonal(first, second)
         perm = superimpose(pair)
         assert entangling_power(perm).epsilon == Fraction(d, d + 1)
         assert is_latin(perm.k) and is_latin(perm.l)
@@ -158,14 +158,13 @@ class TestConstructMols:
     def test_large_field_pairs(self, d):
         first, second = pair = construct_mols(d)
         assert is_latin(first) and is_latin(second)
-        assert are_orthogonal(first, second)
         flat = np.array([biperm_to_flat(superimpose(pair))], dtype=np.int32) - 1
         assert q_totals_batch(flat, d).tolist() == [2 * d * d]
 
     def test_table_file_load(self):
         pair = parse_pair_file(format_pair(construct_mols(7)))
         assert pair == construct_mols(7)
-        assert are_orthogonal(*pair)
+        assert superimpose(pair).d == 7
 
     def test_table_file_validated(self):
         # parsing reads any two Latin squares; superimpose checks the pair

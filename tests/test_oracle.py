@@ -149,6 +149,10 @@ class TestStateOfUnitary:
         with pytest.raises(PermupowerError, match=r"^U\^dag U deviates from identity by "):
             Unitary(2, np.ones((4, 4)))
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(PermupowerError, match=r"^shape \(9, 9\), expected \(4, 4\)$"):
+            Unitary(2, np.eye(9))
+
     @pytest.mark.parametrize(
         "d,error,message",
         [

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "BiPerm", "BudgetExceeded", "ClassHistogram",
     "NotOrthogonal", "ParseError", "PermupowerError", "PowerReport",
     "Unitary",
-    "UnsupportedOrder", "are_orthogonal", "biperm_from_flat",
+    "UnsupportedOrder", "biperm_from_flat",
     "biperm_to_flat", "builtin_perm", "class_bound",
     "classify_exhaustive", "classify_sampled", "compose_with_swap", "construct_mols",
     "e0_stats", "entangling_power", "epsilon_from_q", "exact_mean",
