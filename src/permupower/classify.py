@@ -9,9 +9,10 @@ where t is 1 when a and b share k, d when they share l and d + 1 when they
 share neither; the three classes hold d^2 (d-1), d^2 (d-1) and
 d^2 (d-1)^2 pairs (a, b).  So the census is the sum over t of its class
 size times the histogram of stratum t, the (d^2 - 2)! permutations that
-start with (0, t).  Strata are independent work units, so runs
-parallelize and checkpoint per stratum, and merged results do not depend
-on worker count or scheduling.
+start with (0, t).  Each stratum is a work unit that reads its checkpoint,
+or counts and saves the stratum, and returns it weighted; so runs
+parallelize, a finished stratum reaches disk in any order, and merged
+results do not depend on worker count or scheduling.
 
 Sampled classification draws at most SAMPLE_BUDGET uniform permutations
 in fixed-size chunks, with the chunk c generator seeded from the pair
@@ -100,6 +101,14 @@ class ClassHistogram:
     seed: int | None = None
 
     def __post_init__(self):
+        # as in a checkpoint, a count is an int and not a bool
+        if any(type(c) is not int for _, c in self.classes):
+            raise ValueError("class counts must be integers")
+        if any(not isinstance(k, Fraction) for k, _ in self.classes):
+            raise ValueError("class powers must be Fractions")
+        seed = self.seed
+        if seed is not None and (type(seed) is not int or not 0 <= seed < SEED_BOUND):
+            raise ValueError("seed must be None or an integer in [0, 2**32)")
         keys = [k for k, _ in self.classes]
         if keys != sorted(keys):
             raise ValueError("classes must be sorted by power")
@@ -182,10 +191,21 @@ def _q_histogram(blocks: Iterable[np.ndarray], d: int) -> Counter:
     return counts
 
 
-def _stratum_q_counts(d: int, stratum: int) -> Counter:
-    """Q_P + Q_PS histogram over the (d^2 - 2)! permutations whose 0-based
-    flat images start with (0, `stratum`)."""
-    return _q_histogram(lex_blocks(d * d, (0, stratum)), d)
+def _stratum_q_counts(d: int, stratum: int, directory: Path | None = None) -> Counter:
+    """Q_P + Q_PS histogram of the (d^2 - 2)! permutations whose 0-based flat
+    images start with (0, `stratum`), times the pairs relabeled onto them.
+
+    With `directory`, the unweighted histogram is read from the stratum's
+    checkpoint, or counted and saved there at once by this process.
+    """
+    path = None if directory is None else directory / f"census-d{d}-stratum-{stratum}.json"
+    counts = None if path is None else _load_checkpoint(path, d, stratum)
+    if counts is None:
+        counts = _q_histogram(lex_blocks(d * d, (0, stratum)), d)
+        if path is not None:
+            _write_checkpoint(path, d, stratum, counts)
+    weight = d * d * (d - 1) * (d - 1 if stratum == d + 1 else 1)
+    return Counter({q: c * weight for q, c in counts.items()})
 
 
 def _sample_chunk_q(d: int, seed: int, chunk_index: int, count: int) -> Counter:
@@ -202,6 +222,8 @@ def _run_units(fn: Callable, units: Iterable[tuple], workers: int) -> Iterator:
     Units are read a few per worker at a time, so neither this process nor
     the pool's queue ever holds a long sequence of them whole.
     """
+    if workers < 1:
+        raise PermupowerError(f"need at least 1 worker, got {workers}")
     units = iter(units)
     batch = list(itertools.islice(units, 4 * workers))
     if workers > 1 and len(batch) > 1:
@@ -220,10 +242,6 @@ def _run_units(fn: Callable, units: Iterable[tuple], workers: int) -> Iterator:
 
 
 # --- exhaustive census ---------------------------------------------------------
-
-
-def _checkpoint_path(directory: Path, d: int, stratum: int) -> Path:
-    return directory / f"census-d{d}-stratum-{stratum}.json"
 
 
 def _load_checkpoint(path: Path, d: int, stratum: int) -> dict[int, int] | None:
@@ -266,14 +284,14 @@ def classify_exhaustive(
     force: bool = False,
     checkpoint_dir: str | Path | None = None,
 ) -> ClassHistogram:
-    """Exact census over all d^2! permutations, from the three weighted
-    strata t = 1, d, d + 1, one per work unit.
+    """Exact census over all d^2! permutations: the sum of the three
+    weighted strata t = 1, d, d + 1, one per work unit.
 
     Needs 2 <= d <= 215, and `force` above ENUMERATION_MAX_D.  With
-    `checkpoint_dir`, each stratum persists its unweighted histogram
-    (`census-d{d}-stratum-{t}.json`) as soon as it completes, and a rerun,
-    also after an interrupted one, computes only the strata not already on
-    disk.
+    `checkpoint_dir`, the process that counts a stratum saves its
+    unweighted histogram (`census-d{d}-stratum-{t}.json`) as soon as it
+    completes, in any order, so a failing stratum discards none that
+    finished, and a rerun computes only the strata not already on disk.
     """
     check_power_dimension(d)
     if d > ENUMERATION_MAX_D and not force:
@@ -281,29 +299,13 @@ def classify_exhaustive(
             f"exhaustive census at d = {d} means 3 x {d * d - 2}! evaluations; "
             "pass force to override"
         )
-    # stratum t -> the number of first-two-image pairs relabeled onto (0, t)
-    weights = {1: d * d * (d - 1), d: d * d * (d - 1), d + 1: d * d * (d - 1) ** 2}
     directory = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
-
+    strata = ((d, t, directory) for t in (1, d, d + 1))
     merged: Counter = Counter()
-    pending: list[tuple[int, int]] = []
-    for t, weight in weights.items():
-        cached = None
-        if directory is not None:
-            cached = _load_checkpoint(_checkpoint_path(directory, d, t), d, t)
-        if cached is None:
-            pending.append((d, t))
-        else:
-            merged.update({q: c * weight for q, c in cached.items()})
-
-    # strict zip drains the runner, so its pool shuts down inside this loop
-    units = _run_units(_stratum_q_counts, pending, workers)
-    for counts, (_, t) in zip(units, pending, strict=True):
-        if directory is not None:
-            _write_checkpoint(_checkpoint_path(directory, d, t), d, t, counts)
-        merged.update({q: c * weights[t] for q, c in counts.items()})
+    for counts in _run_units(_stratum_q_counts, strata, workers):
+        merged.update(counts)
     return _histogram_from_q_counts(d, merged)
 
 

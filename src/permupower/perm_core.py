@@ -143,13 +143,16 @@ def read_int_line(line: str, count: int, where: str, high: int | None = None) ->
 def biperm_from_flat(image: Sequence[int], d: int) -> BiPerm:
     """Reshape a flat permutation of [d^2] (1-based images) into the (K, L) pair.
 
-    Raises PermupowerError unless the image has d^2 integer entries and is
-    a bijection of [d^2]; the bijection error names the first offending token.
+    Raises PermupowerError unless d >= 1, as in the text form's header, and
+    the image has d^2 integer entries and is a bijection of [d^2]; the
+    bijection error names the first offending token.
     """
     try:
         image = tuple(map(operator.index, image))
     except TypeError:
         raise PermupowerError("flat permutation values must be integers") from None
+    if d < 1:
+        raise PermupowerError(f"dimension must be positive, got {d}")
     n = d * d
     if len(image) != n:
         raise PermupowerError(f"flat permutation has length {len(image)}, need d^2 = {n}")

@@ -62,6 +62,19 @@ def census_d3():
     return classify_exhaustive(3)
 
 
+def counting_lex_blocks(monkeypatch) -> list:
+    """Record the prefix of every stratum that `classify` enumerates."""
+    real = classify.lex_blocks
+    prefixes = []
+
+    def recorded(n, prefix=()):
+        prefixes.append(prefix)
+        return real(n, prefix)
+
+    monkeypatch.setattr(classify, "lex_blocks", recorded)
+    return prefixes
+
+
 class TestExhaustive:
     def test_d2_census(self):
         hist = classify_exhaustive(2)
@@ -182,28 +195,38 @@ class TestExhaustive:
         real = classify._stratum_q_counts
         calls = []
 
-        def interrupted_at_second(d, stratum):
+        def interrupted_at_second(d, stratum, directory):
             calls.append(stratum)
             if len(calls) == 2:
                 raise RuntimeError("run interrupted")
-            return real(d, stratum)
+            return real(d, stratum, directory)
 
         monkeypatch.setattr(classify, "_stratum_q_counts", interrupted_at_second)
         with pytest.raises(RuntimeError, match="interrupted"):
             classify_exhaustive(3, checkpoint_dir=tmp_path)
         assert len(list(tmp_path.glob("census-d3-*.json"))) == 1
 
-        calls.clear()
-
-        def counted(d, stratum):
-            calls.append(stratum)
-            return real(d, stratum)
-
-        monkeypatch.setattr(classify, "_stratum_q_counts", counted)
+        monkeypatch.setattr(classify, "_stratum_q_counts", real)
+        counted = counting_lex_blocks(monkeypatch)
         hist = classify_exhaustive(3, checkpoint_dir=tmp_path)
-        assert calls == [3, 4]
+        assert counted == [(0, 3), (0, 4)]
         assert dict(hist.classes) == golden.EXPECTED_CENSUS[3]
         assert len(list(tmp_path.glob("census-d3-*.json"))) == 3
+
+    def test_finished_strata_survive_a_failed_one(self, tmp_path, monkeypatch):
+        # stratum 1 cannot read or write its checkpoint; in a real pool the
+        # strata that finish are on disk when the run fails
+        blocked = tmp_path / "census-d3-stratum-1.json"
+        blocked.mkdir()
+        with pytest.raises(IsADirectoryError):
+            classify_exhaustive(3, workers=3, checkpoint_dir=tmp_path)
+        for t in (3, 4):
+            assert classify._load_checkpoint(tmp_path / f"census-d3-stratum-{t}.json", 3, t)
+        blocked.rmdir()
+        counted = counting_lex_blocks(monkeypatch)
+        hist = classify_exhaustive(3, checkpoint_dir=tmp_path)
+        assert counted == [(0, 1)]
+        assert dict(hist.classes) == golden.EXPECTED_CENSUS[3]
 
     def test_checkpoint_rejects_wrong_total(self, tmp_path):
         classify_exhaustive(2, checkpoint_dir=tmp_path)
@@ -404,6 +427,17 @@ def test_pool_fed_a_few_units_at_a_time(in_process_pool):
     assert max(in_process_pool["fed"]) <= 4 * 3
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize(
+    "census",
+    [lambda w: classify_exhaustive(2, workers=w), lambda w: classify_sampled(2, 10, 1, workers=w)],
+    ids=["exhaustive", "sampled"],
+)
+def test_workers_below_one(census, workers):
+    with pytest.raises(PermupowerError, match=f"^need at least 1 worker, got {workers}$"):
+        census(workers)
+
+
 def test_sample_budget(monkeypatch):
     def refuse(*args):
         raise AssertionError("no unit may run")
@@ -527,6 +561,34 @@ class TestHistogramSerialization:
                     d=2, seed=0,
                     classes=((Fraction(0), counts[0]), (Fraction(4, 9), counts[1])),
                 )
+
+    @pytest.mark.parametrize("argv", [["--exhaustive"], ["--samples", "3000", "--seed", "11"]],
+                             ids=["exhaustive", "sampled"])
+    def test_json_recipe_roundtrip(self, tmp_path, argv):
+        # the README's replacement for from_json_dict, on the CLI's own output
+        from permupower import cli
+
+        out = tmp_path / "census.json"
+        assert cli.main(["classify", "--d", "3", *argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        hist = histogram_from_json(payload)
+        assert hist.to_json() + "\n" == text
+        if payload["seed"] is None:
+            assert hist == classify_exhaustive(3)
+        else:
+            assert hist == classify_sampled(3, 3000, 11)
+
+        first = payload["classes"][0]
+        bad = [{**payload, "classes": [{**first, "count": value}, *payload["classes"][1:]]}
+               for value in (True, 2.5)]
+        bad += [{**payload, "seed": seed} for seed in (-5, "x", True, 2**32)]
+        for damaged in bad:
+            with pytest.raises(ValueError, match="^(class counts|seed) must be"):
+                histogram_from_json(damaged)
+        float_power = ((0.0, first["count"]), *hist.classes[1:])
+        with pytest.raises(ValueError, match="^class powers must be Fractions$"):
+            ClassHistogram(d=3, classes=float_power, seed=0)
 
     def test_class_bound_enforced(self):
         # d = 2 has at most class_bound(2) = 4 classes

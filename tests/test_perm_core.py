@@ -69,6 +69,18 @@ class TestBiPermFromFlat:
             with pytest.raises(PermupowerError, match="^k and l must hold integers$"):
                 BiPerm(((1, 1), (2, 2)), ((1, cell), (1, 2)))
 
+    def test_dimension_below_one_rejected(self):
+        # (-2)^2 = 4 entries pass the length check, but d = -2 has no text form
+        for image, d in (((1, 2, 3, 4), -2), ((), 0), ((1,), -1)):
+            with pytest.raises(PermupowerError, match=f"^dimension must be positive, got {d}$"):
+                biperm_from_flat(image, d)
+
+    def test_accepted_images_have_a_text_form(self, rng):
+        for d in (1, 2, 3, 4):
+            for _ in range(10):
+                p = biperm_from_flat([int(v) + 1 for v in rng.permutation(d * d)], d)
+                assert parse_biperm(format_biperm(p)) == p
+
     def test_non_integers_rejected(self):
         with pytest.raises(PermupowerError, match="^flat permutation values must be integers$"):
             biperm_from_flat([1.5, 2, 3, 4], 2)
